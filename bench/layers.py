@@ -1,27 +1,49 @@
-"""Per-layer timings from a replay of each command.
+"""Per-layer timings and counts taken from the package's own calls.
 
-The replay calls the package's public functions from here, in the order
-``cli.run`` calls them, and times each call; nothing inside the package
-is changed.  Calls that ``cli.run`` does not make are timed too but kept
-off the path total: ``polytope.hull`` on the same rows (contained in
-``linsys.build``), ``toric.relevant_subsets`` (contained in
-``linsys.strata``), ``polytope.polar_dual`` / ``is_canonical`` /
-``lattice_points`` (contained in ``duality.goodpair`` and
-``duality.induce``), ``delsarte.wps_check`` and ``duality.dual_pair``
-(not on any command path of the workloads).  Counts come only from
-returned values.
+``traced(tracer)`` replaces public functions of the package's modules with
+wrappers that time each call and count what it returns, and puts the
+originals back when it ends.  The package calls these functions through
+module attributes (``_linsys.monomial_system``, ``_poly.hull``,
+``check_stratum_rank`` inside ``qscheck``, ...), so the wrappers see
+exactly the calls ``cli.run`` makes, and a change to which calls it makes
+shows in the figures.  Nothing in ``src/`` is edited.
+
+Times are inclusive: ``linsys.build`` holds the ``polytope.hull`` calls
+made inside it, and ``polytope.hull`` holds every hull call wherever it
+is made.  A function that calls itself is timed at its outermost call.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
 from time import perf_counter
 
 from qsmooth import delsarte, duality, linsys, polytope, qscheck, toric
 
-import reference as ref
+# span name -> (module, function)
+SPANS = {
+    "toric.parse": (toric, "parse_ambient_text"),
+    "toric.relevant_subsets": (toric, "relevant_subsets"),
+    "linsys.parse": (linsys, "parse_monomials_text"),
+    "linsys.build": (linsys, "monomial_system"),
+    "linsys.strata": (linsys, "base_locus_strata"),
+    "polytope.hull": (polytope, "hull"),
+    "polytope.load": (polytope, "load_polytope"),
+    "polytope.polar": (polytope, "polar_dual"),
+    "polytope.lattice_points": (polytope, "lattice_points"),
+    "polytope.canonical": (polytope, "is_canonical"),
+    "qscheck.decide": (qscheck, "is_quasismooth"),
+    "qscheck.rank": (qscheck, "check_stratum_rank"),
+    "qscheck.polytope": (qscheck, "check_stratum_polytope"),
+    "qscheck.render": (qscheck, "certificate_lines"),
+    "delsarte.classify": (delsarte, "classify_atomic"),
+    "delsarte.transpose": (delsarte, "transpose_dual"),
+    "duality.goodpair": (duality, "good_pair_check"),
+    "duality.induce": (duality, "induced_system"),
+}
 
-# name -> unit; time metrics are means per system over one pass
+# name -> unit; a time is the span's total per system over one pass
 LAYER_METRICS = {
     "cli.run_ms": "ms",
     "cli.run_p50_ms": "ms",
@@ -51,133 +73,98 @@ LAYER_METRICS = {
     "qscheck.render_ms": "ms",
     "delsarte.classify_ms": "ms",
     "delsarte.transpose_ms": "ms",
-    "delsarte.wps_check_ms": "ms",
     "duality.goodpair_ms": "ms",
     "duality.induce_ms": "ms",
-    "duality.dualize_ms": "ms",
 }
 
 
 class Tracer:
-    """Accumulates call times (seconds) and counts for one pass."""
+    """Span times (seconds) and counts for one pass."""
 
     def __init__(self):
         self.seconds = defaultdict(float)
         self.counts = defaultdict(int)
-        self.path = 0.0  # time of the calls cli.run would make, this system
+        self._open = defaultdict(int)
+        self._build_hulled = False
+        self._tested = None  # stratum -> failed, for the decision under way
 
-    def call(self, name, fn, *args, on_path=True):
-        start = perf_counter()
-        out = fn(*args)
-        elapsed = perf_counter() - start
-        self.seconds[name] += elapsed
-        if on_path:
-            self.path += elapsed
-        return out
+    def wrap(self, name, fn):
+        def span(*args, **kwargs):
+            if self._open[name]:
+                return fn(*args, **kwargs)
+            self._enter(name)
+            self._open[name] += 1
+            start = perf_counter()
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                self.seconds[name] += perf_counter() - start
+                self._open[name] -= 1
+            self._leave(name, args, out)
+            return out
 
+        return span
 
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    def _enter(self, name):
+        if name == "linsys.build":
+            self._build_hulled = False
+        elif name == "polytope.hull" and self._open["linsys.build"]:
+            self._build_hulled = True
+        elif name == "qscheck.decide":
+            self._tested = {}
 
-
-def _load_system(tr, cfg):
-    ambient = tr.call("toric.parse", lambda: toric.parse_ambient_text(_read(cfg.ambient_path), cfg.ambient_path))
-    rows = tr.call("linsys.parse", lambda: linsys.parse_monomials_text(
-        _read(cfg.monomials_path), ambient.num_vars, cfg.monomials_path))
-    return tr.call("linsys.build", linsys.monomial_system, ambient, rows)
-
-
-def replay_check(tr, cfg):
-    """Replay ``check --method both``; returns its certificate lines."""
-    system = _load_system(tr, cfg)
-    rows = system.exponents
-    tr.counts["linsys.rows"] += len(rows)
-    tr.counts["linsys.vertex_rows"] += len(system.vertex_rows)
-    if ref.rank([[a - b for a, b in zip(r, rows[0])] for r in rows[1:]]) < len(rows) - 1:
-        tr.counts["linsys.hull_systems"] += 1
-        tr.call("polytope.hull", polytope.hull, rows, on_path=False)
-    both = qscheck.Method.BOTH
-    if qscheck.has_generator_row(system):
-        verdict = qscheck.QSVerdict(True, both, shortcut="generator_in_basis")
-        return tr.call("qscheck.render", qscheck.certificate_lines, verdict)
-    subsets = tr.call("toric.relevant_subsets", toric.relevant_subsets, system.ambient, on_path=False)
-    tr.counts["toric.relevant_subsets"] += len(subsets)
-    strata = tr.call("linsys.strata", linsys.base_locus_strata, system)
-    tr.counts["linsys.strata"] += len(strata)
-    results = []
-    for st in strata:
-        rank_res = tr.call("qscheck.rank", qscheck.check_stratum_rank, system, st.variables)
-        poly_res = tr.call("qscheck.polytope", qscheck.check_stratum_polytope, system, st.variables)
-        ref.expect(rank_res == poly_res, f"rank and polytope tests disagree on {st.variables}")
-        results.append(rank_res)
-    failures = [i for i, res in enumerate(results) if isinstance(res, qscheck.StratumFailure)]
-    tr.counts["qscheck.strata_checked"] += len(results)
-    tr.counts["qscheck.strata_needed"] += failures[0] + 1 if failures else len(results)
-    if failures:
-        verdict = qscheck.QSVerdict(False, both, failure=results[failures[0]])
-    else:
-        verdict = qscheck.QSVerdict(True, both, witnesses=tuple(results))
-    return tr.call("qscheck.render", qscheck.certificate_lines, verdict)
+    def _leave(self, name, args, out):
+        c = self.counts
+        if name == "toric.relevant_subsets":
+            c["toric.relevant_subsets"] += len(out)
+        elif name == "linsys.build":
+            c["linsys.rows"] += len(out.exponents)
+            c["linsys.vertex_rows"] += len(out.vertex_rows)
+            c["linsys.hull_systems"] += self._build_hulled
+        elif name == "linsys.strata":
+            c["linsys.strata"] += len(out)
+        elif name in ("qscheck.rank", "qscheck.polytope") and self._tested is not None:
+            key = tuple(sorted(args[1]))
+            self._tested[key] = self._tested.get(key, False) or isinstance(out, qscheck.StratumFailure)
+        elif name == "qscheck.decide":
+            failed = list(self._tested.values())  # in the order the strata were first tested
+            c["qscheck.strata_checked"] += len(failed)
+            c["qscheck.strata_needed"] += failed.index(True) + 1 if True in failed else len(failed)
+            self._tested = None
 
 
-def _wps_data(tr, cfg):
-    system = _load_system(tr, cfg)
-    tr.call("toric.is_fake_wps", system.ambient.is_fake_wps)
-    return system, system.ambient.grading.free_part.entries[0], system.degree[0][0]
+@contextmanager
+def traced(tracer):
+    """Route the package's calls of the ``SPANS`` functions through ``tracer``."""
+    originals = [(module, attr, getattr(module, attr)) for module, attr in SPANS.values()]
+    for name, (module, attr) in SPANS.items():
+        setattr(module, attr, tracer.wrap(name, getattr(module, attr)))
+    try:
+        yield tracer
+    finally:
+        for module, attr, fn in originals:
+            setattr(module, attr, fn)
 
 
-def replay_delsarte(tr, cfg):
-    system, weights, _ = _wps_data(tr, cfg)
-    tr.call("delsarte.wps_check", delsarte.wps_check, system, on_path=False)
-    return tr.call("delsarte.classify", delsarte.classify_atomic, system.exponents, weights)
+def summary(tr, untraced_seconds, traced_seconds):
+    """Per-layer metrics of one traced pass, in LAYER_METRICS order.
 
-
-def replay_transpose(tr, cfg):
-    system, weights, degree = _wps_data(tr, cfg)
-    return tr.call("delsarte.transpose", delsarte.transpose_dual, system.exponents, weights, degree)
-
-
-def _load_pair(tr, cfg):
-    return (tr.call("polytope.load", polytope.load_polytope, cfg.p1_path),
-            tr.call("polytope.load", polytope.load_polytope, cfg.p2_path))
-
-
-def replay_goodpair(tr, cfg):
-    p1, p2 = _load_pair(tr, cfg)
-    tr.call("polytope.polar", polytope.polar_dual, p2, on_path=False)
-    tr.call("polytope.canonical", polytope.is_canonical, p1, on_path=False)
-    return tr.call("duality.goodpair", duality.good_pair_check, p1, p2)
-
-
-def replay_induce(tr, cfg, dualizable):
-    p1, p2 = _load_pair(tr, cfg)
-    tr.call("polytope.lattice_points", polytope.lattice_points, p1, on_path=False)
-    induced = tr.call("duality.induce", duality.induced_system, p1, p2)
-    if dualizable:
-        tr.call("duality.dualize", duality.dual_pair, p1, p2, on_path=False)
-    return (tr.call("toric.format", toric.format_ambient, induced.ambient),
-            tr.call("linsys.format", linsys.format_monomials, induced.system.exponents))
-
-
-def summary(tr, cli_seconds, path_seconds):
-    """Per-layer metrics of one traced pass, in LAYER_METRICS order."""
-    n = len(cli_seconds)
-
-    def per_system_ms(name):
-        return tr.seconds[name] * 1e3 / n
+    ``untraced_seconds`` and ``traced_seconds`` hold each system's sequence
+    time in the untraced and the traced pass over the same cases.
+    """
+    n = len(untraced_seconds)
 
     def ratio(a, b):
         return a / b if b else 0.0
 
     c = tr.counts
-    cli_p50 = sorted(cli_seconds)[n // 2] * 1e3
-    path_p50 = sorted(path_seconds)[n // 2] * 1e3
+    cli_p50 = sorted(untraced_seconds)[n // 2] * 1e3
+    traced_p50 = sorted(traced_seconds)[n // 2] * 1e3
     values = {
-        "cli.run_ms": sum(cli_seconds) * 1e3 / n,
+        "cli.run_ms": sum(untraced_seconds) * 1e3 / n,
         "cli.run_p50_ms": cli_p50,
-        "trace.total_p50_ms": path_p50,
-        "trace.overhead": ratio(path_p50, cli_p50) - 1.0,
+        "trace.total_p50_ms": traced_p50,
+        "trace.overhead": ratio(traced_p50, cli_p50) - 1.0,
         "trace.systems": n,
         "toric.relevant_subsets": c["toric.relevant_subsets"],
         "linsys.hull_systems": c["linsys.hull_systems"],
@@ -188,7 +175,7 @@ def summary(tr, cli_seconds, path_seconds):
         "qscheck.strata_needed": c["qscheck.strata_needed"],
         "qscheck.useful_ratio": ratio(c["qscheck.strata_needed"], c["qscheck.strata_checked"]),
     }
-    for name, unit in LAYER_METRICS.items():
+    for name in LAYER_METRICS:
         if name not in values:
-            values[name] = per_system_ms(name[:-3])
-    return {name: values[name] for name in LAYER_METRICS}
+            values[name] = tr.seconds[name[:-3]] * 1e3 / n
+    return values

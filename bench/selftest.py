@@ -15,6 +15,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 sys.path.insert(0, HERE)
 
+import layers  # noqa: E402
 import reference as ref  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
@@ -39,10 +40,10 @@ class CheckTests(unittest.TestCase):
         os.makedirs(os.path.join(HERE, "_work"), exist_ok=True)
         cls.work = tempfile.mkdtemp(prefix="selftest-", dir=os.path.join(HERE, "_work"))
         rng = random.Random(7)
-        cls.fan = workloads.build_fan_sweep(rng, cls.work, count=8) + workloads.build_dense_newton(rng, cls.work, count=6)
+        cls.checks = workloads.build_dense_newton(rng, cls.work, count=12)
         cls.wps = workloads.build_wps_wide(rng, cls.work, mix={6: 2, 8: 1})
         cls.pairs = workloads.build_goodpair(rng, cls.work, count=8)
-        cls.results = {c.name: run.run_sequence(c)[1] for c in cls.fan + cls.wps + cls.pairs}
+        cls.results = {c.name: run.run_sequence(c)[1] for c in cls.checks + cls.wps + cls.pairs}
 
     @classmethod
     def tearDownClass(cls):
@@ -61,32 +62,32 @@ class CheckTests(unittest.TestCase):
         return next(c for c in cases if predicate(self.results[c.name]))
 
     def test_real_outputs_pass(self):
-        for case in self.fan + self.wps + self.pairs:
+        for case in self.checks + self.wps + self.pairs:
             run.verify(case, self.results[case.name], True)
 
     def test_changed_rank_rejected(self):
-        case = self.first(self.fan, lambda r: "[stratum 1]" in r[0][1])
+        case = self.first(self.checks, lambda r: "[stratum 1]" in r[0][1])
         report = _replace(self.results[case.name][0][1], r"^rank_small = (\d+)", lambda m: f"rank_small = {int(m[1]) + 1}")
         self.assert_rejected(case, self.tampered(case, 0, report))
 
     def test_dropped_witness_rejected(self):
-        case = self.first(self.fan, lambda r: "[stratum 1]" in r[0][1])
+        case = self.first(self.checks, lambda r: "[stratum 1]" in r[0][1])
         report = _drop_section(self.results[case.name][0][1], "[stratum 1]")
         self.assert_rejected(case, self.tampered(case, 0, report))
 
     def test_changed_failure_rejected(self):
-        case = next(c for c in self.fan if c.data.get("fixture") == "p4")
+        case = next(c for c in self.checks if c.data.get("fixture") == "p4")
         report = self.results[case.name][0][1]
         self.assert_rejected(case, self.tampered(case, 0, report.replace("all_faces_empty", "no_degenerate_subcollection")))
         self.assert_rejected(case, self.tampered(case, 0, _replace(report, r"^vars = x1 x2 x3$", "vars = x1 x2 x4")))
 
     def test_fixture_verdict_rejected(self):
-        case = next(c for c in self.fan if c.data.get("fixture") == "product")
+        case = next(c for c in self.checks if c.data.get("fixture") == "product")
         code, report = self.results[case.name][0]
         self.assert_rejected(case, [(1, report.replace("status = quasismooth", "status = not_quasismooth"))])
 
     def test_wrong_vertices_rejected(self):
-        case = next(c for c in self.fan if c.data.get("fixture") == "triple_line")
+        case = next(c for c in self.checks if c.data.get("fixture") == "triple_line")
         report = _replace(self.results[case.name][0][1], r"^newton_vertices = .*$", "newton_vertices = 1 2")
         self.assert_rejected(case, self.tampered(case, 0, report), vertices=True)
 
@@ -99,6 +100,12 @@ class CheckTests(unittest.TestCase):
         a, b = lines.index("[stratum X]"), lines.index("[stratum 1]")
         lines[a:b + 6] = lines[b:b + 6] + lines[a:b]
         self.assert_rejected(case, self.tampered(case, 0, "\n".join(lines)))
+
+    def test_wps_dropped_witness_rejected(self):
+        case = self.wps[0]
+        report = self.results[case.name][0][1]
+        self.assertIn("[stratum 2]", report)
+        self.assert_rejected(case, self.tampered(case, 0, _drop_section(report, "[stratum 1]")))
 
     def test_wps_delsarte_and_transpose_rejected(self):
         case = self.wps[0]
@@ -124,12 +131,34 @@ class CheckTests(unittest.TestCase):
                 fh.write(original)
 
     def test_dualize_involution_checked(self):
-        case = next(c for c in self.pairs if c.data["dualizable"])
+        case = next(c for c in self.pairs if ref.dualizable(c.data["p1"], c.data["p2"]))
         reports = run.dualize_twice(case)
         ref.check_dualize(*reports, case.data["p1"], case.data["p2"])
         p1 = [tuple(2 * x for x in v) for v in case.data["p1"]]
         with self.assertRaises(ref.Mismatch):
             ref.check_dualize(*reports, p1, case.data["p2"])
+
+
+class TraceTests(unittest.TestCase):
+    def test_spans_count_the_programs_calls(self):
+        work = tempfile.mkdtemp(prefix="selftest-", dir=os.path.join(HERE, "_work"))
+        try:
+            cases = workloads.build_dense_newton(random.Random(3), work, count=11)
+            untraced = [run.run_sequence(c)[1] for c in cases]
+            tr = layers.Tracer()
+            with layers.traced(tr):
+                traced = [run.run_sequence(c)[1] for c in cases]
+        finally:
+            shutil.rmtree(work, ignore_errors=True)
+        self.assertEqual(traced, untraced)
+        self.assertEqual(run.cli._qscheck.check_stratum_rank.__name__, "check_stratum_rank")  # restored
+        strata = [ref.base_strata(c.rows, c.num_vars, c.relevant) for c in cases
+                  if not any(sum(row) == 1 for row in c.rows)]
+        self.assertEqual(tr.counts["linsys.strata"], sum(len(s) for s in strata))
+        self.assertEqual(tr.counts["qscheck.strata_checked"], sum(len(s) for s in strata))
+        self.assertLess(tr.counts["qscheck.strata_needed"], tr.counts["qscheck.strata_checked"])
+        self.assertGreater(tr.counts["linsys.hull_systems"], 0)
+        self.assertGreater(tr.seconds["polytope.hull"], 0.0)
 
 
 class ReferenceTests(unittest.TestCase):

@@ -13,7 +13,6 @@ import itertools
 import os
 import random
 from dataclasses import dataclass, field
-from math import atan2, gcd
 
 import reference as ref
 
@@ -23,7 +22,7 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 @dataclass
 class Case:
     name: str
-    kind: str  # "fan", "wps", "dense" or "pair"
+    kind: str  # "check", "wps" or "pair"
     files: dict
     num_vars: int = 0
     rows: list = field(default_factory=list)
@@ -46,12 +45,6 @@ def _quotient_text(grading, irrelevant):
     return "\n".join(lines) + "\n"
 
 
-def _fan_text(rays, cones):
-    lines = ["[rays]"] + [" ".join(str(x) for x in ray) for ray in rays]
-    lines += ["[cones]"] + [" ".join(str(i + 1) for i in cone) for cone in cones]
-    return "\n".join(lines) + "\n"
-
-
 def _system_case(directory, name, kind, ambient_text, rows, num_vars, relevant, **data):
     files = {
         "ambient": os.path.join(directory, f"{name}.ambient"),
@@ -60,114 +53,6 @@ def _system_case(directory, name, kind, ambient_text, rows, num_vars, relevant, 
     _write(files["ambient"], ambient_text)
     _write(files["monomials"], _rows_text(rows))
     return Case(name, kind, files, num_vars, [tuple(r) for r in rows], relevant, data)
-
-
-# ---------------------------------------------------------------------------
-# fan_sweep: small random systems on complete 2-D and 3-D fans
-
-
-def _primitive(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in v)
-
-
-def _fan_2d(rng, num_rays):
-    while True:
-        rays = set()
-        while len(rays) < num_rays:
-            v = (rng.randint(-3, 3), rng.randint(-3, 3))
-            if v != (0, 0):
-                rays.add(_primitive(v))
-        ordered = sorted(rays, key=lambda r: atan2(r[1], r[0]))
-        pairs = list(zip(ordered, ordered[1:] + ordered[:1]))
-        if all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in pairs):
-            return tuple(ordered), tuple((i, (i + 1) % num_rays) for i in range(num_rays))
-
-
-_SIMPLEX_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_FANS_3D = (
-    (_SIMPLEX_3 + ((-1, -1, -1),), ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
-    (
-        ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
-        tuple((a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)),
-    ),
-    (_SIMPLEX_3 + ((-1, -1, -2),), ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
-)
-
-
-def _fan_3d(rng, max_rays=7):
-    """Projective space, P1^3 or P(1,1,1,2), star-subdivided at random cones."""
-    rays, cones = rng.choice(_FANS_3D)
-    while len(rays) < max_rays and rng.random() < 0.6:
-        cone = rng.choice(cones)
-        new = _primitive(tuple(sum(rays[i][j] for i in cone) for j in range(3)))
-        if new in rays:
-            break
-        rays = rays + (new,)
-        k = len(rays) - 1
-        cones = tuple(c for c in cones if c != cone) + tuple(
-            tuple(sorted(set(cone) - {drop} | {k})) for drop in cone
-        )
-    return rays, cones
-
-
-def _fan_rows(rng, rays, max_exp, max_monomials, shift):
-    """A seed monomial plus random lattice translates of it, all of one degree.
-
-    A translate adds ``<s, ray_i>`` to exponent i for a step s in
-    [-shift, shift]^n; those with every exponent in [0, max_exp] qualify.
-    """
-    n = len(rays[0])
-    seed = tuple(rng.randint(0, max_exp) for _ in rays)
-    translates = set()
-    for step in itertools.product(range(-shift, shift + 1), repeat=n):
-        cand = tuple(b + sum(s * x for s, x in zip(step, ray)) for b, ray in zip(seed, rays))
-        if cand != seed and all(0 <= x <= max_exp for x in cand):
-            translates.add(cand)
-    want = rng.randint(1, max_monomials) - 1
-    return sorted({seed, *rng.sample(sorted(translates), min(want, len(translates)))})
-
-
-def _fan_verdict(rows, num_vars, relevant):
-    """'qs' / 'not' with at least one base stratum, else None (trivial)."""
-    if any(sum(r) == 1 for r in rows):
-        return None
-    strata = ref.base_strata(rows, num_vars, relevant)
-    if not strata:
-        return None
-    for st in strata:
-        if ref.stratum_result(rows, st)[0] == "fail":
-            return "not"
-    return "qs"
-
-
-def fan_systems(rng, count):
-    """``count`` systems, half quasismooth and half not, each with base strata.
-
-    Drawn like the criterion-06 generator (exponents up to 6, up to 10
-    monomials, steps in [-2, 2]); nearly all of those draws are not
-    quasismooth, so the quasismooth half is drawn with 0/1 exponents (up
-    to 20 monomials, steps in [-1, 1]), where about one in six is.  The
-    slots cycle through verdict, dimension and 2-D ray count (3 to 7), so
-    every seed times the same mix.
-    """
-    out = []
-    for slot in range(count):
-        want = ("qs", "not")[slot % 2]
-        dim = 2 + (slot // 2) % 2
-        while True:
-            rays, cones = _fan_2d(rng, 3 + (slot // 4) % 5) if dim == 2 else _fan_3d(rng)
-            if want == "qs":
-                rows = _fan_rows(rng, rays, 1, 20, 1)
-            else:
-                rows = _fan_rows(rng, rays, 6, 10, 2)
-            relevant = ref.relevant_from_cones(cones)
-            if _fan_verdict(rows, len(rays), relevant) == want:
-                out.append((rays, cones, rows, relevant, want))
-                break
-    return out
 
 
 # the four worked fixtures of acceptance criteria 01-04, with their verdicts
@@ -217,15 +102,7 @@ def fixture_cases():
     for name, amb, mon in FIXTURE_CASES:
         num_vars, rows, relevant = _read_fixture(amb, mon)
         files = {"ambient": os.path.join(FIXTURES, amb), "monomials": os.path.join(FIXTURES, mon)}
-        cases.append(Case(f"fixture_{name}", "fan", files, num_vars, rows, relevant, {"fixture": name}))
-    return cases
-
-
-def build_fan_sweep(rng, directory, count=1000):
-    cases = []
-    for i, (rays, cones, rows, relevant, want) in enumerate(fan_systems(rng, count)):
-        cases.append(_system_case(directory, f"fan{i:04d}", "fan", _fan_text(rays, cones),
-                                  rows, len(rays), relevant, verdict=want))
+        cases.append(Case(f"fixture_{name}", "check", files, num_vars, rows, relevant, {"fixture": name}))
     return cases
 
 
@@ -351,7 +228,7 @@ def build_dense_newton(rng, directory, count=400):
         m = r + 2 + (i // len(DENSE_AMBIENTS)) % (top - r - 1)
         rows = sorted(rng.sample(pool, m))
         cases.append(_system_case(
-            directory, f"dense{i:04d}", "dense", _quotient_text(grading, comps),
+            directory, f"dense{i:04d}", "check", _quotient_text(grading, comps),
             rows, r, ref.relevant_from_irrelevant(comps),
         ))
     return cases
@@ -417,21 +294,16 @@ def build_goodpair(rng, directory, count=240):
         p1, p2 = ([tuple(signs[j] * v[perm[j]] for j in range(dim)) for v in p] for p in (p1, p2))
         rng.shuffle(p1)
         rng.shuffle(p2)
-        dualizable = all(
-            all(c < 0 for _, c in ref.facets(p)) and all(x.denominator == 1 for v in ref.polar(p) for x in v)
-            for p in (p1, p2)
-        )
         name = f"pair{i:04d}"
         files = {key: os.path.join(directory, f"{name}.{key}") for key in
                  ("p1", "p2", "induced_ambient", "induced_monomials")}
         _write(files["p1"], _rows_text(p1))
         _write(files["p2"], _rows_text(p2))
-        cases.append(Case(name, "pair", files, data={"p1": p1, "p2": p2, "dualizable": dualizable}))
+        cases.append(Case(name, "pair", files, data={"p1": p1, "p2": p2}))
     return cases
 
 
 BUILDERS = {
-    "fan_sweep": build_fan_sweep,
     "wps_wide": build_wps_wide,
     "dense_newton": build_dense_newton,
     "goodpair": build_goodpair,
