@@ -4,13 +4,11 @@ Exit codes: 0 for quasismooth / decomposable / good pair / success, 1 for
 the corresponding negative verdicts, 2 for input or internal errors
 (including a method disagreement).  Machine output is line-oriented
 ``key = value`` inside ``[section]`` blocks and is byte-stable across runs.
-``QSM_THREADS`` caps stratum-level parallelism (0 = serial).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys as _sys
 from dataclasses import dataclass, field
 
@@ -37,7 +35,6 @@ class RunConfig:
     method: str = "both"
     output: str = "text"
     witness: bool = False
-    threads: int = 0
     out_ambient: str | None = None
     out_monomials: str | None = None
     lines: list[str] = field(default_factory=list)
@@ -107,7 +104,7 @@ def _emit_verdict(cfg: RunConfig, sys_, verdict: _qscheck.QSVerdict) -> int:
 def _cmd_check(cfg: RunConfig) -> int:
     sys_ = _load_system(cfg)
     _system_header(cfg, sys_)
-    verdict = _qscheck.is_quasismooth(sys_, cfg.method, max_workers=cfg.threads)
+    verdict = _qscheck.is_quasismooth(sys_, cfg.method)
     return _emit_verdict(cfg, sys_, verdict)
 
 
@@ -321,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
-    try:
-        threads = int(os.environ.get("QSM_THREADS", "0"))
-    except ValueError:
-        threads = 0
     return RunConfig(
         command=args.command,
         ambient_path=getattr(args, "ambient", None),
@@ -334,7 +327,6 @@ def config_from_args(argv) -> RunConfig:
         method=getattr(args, "method", "both"),
         output=args.output,
         witness=args.witness,
-        threads=threads,
         out_ambient=getattr(args, "out_ambient", None),
         out_monomials=getattr(args, "out_monomials", None),
     )

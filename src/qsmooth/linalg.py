@@ -21,11 +21,28 @@ from .errors import DimensionMismatch, EmptyInput, SingularMatrix
 Vector = tuple[int, ...]
 
 
+def _exact_int(x) -> int:
+    """``x`` as an int; a non-integral value raises instead of truncating."""
+    if type(x) is int:
+        return x
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"matrix entry {x!r} is not an integer") from exc
+    if n != x:
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return n
+
+
+def _int_vector(row: Iterable) -> Vector:
+    return tuple(x if type(x) is int else _exact_int(x) for x in row)
+
+
 def _as_int_rows(rows: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
     out = []
     width = None
     for row in rows:
-        t = tuple(int(x) for x in row)
+        t = _int_vector(row)
         if width is None:
             width = len(t)
         elif len(t) != width:
@@ -311,7 +328,7 @@ def in_row_space(
 ) -> bool:
     """Membership of v in the rational or integral row span of a matrix."""
     rows = matrix.entries if isinstance(matrix, IntMatrix) else _as_int_rows(matrix)
-    v = tuple(int(x) for x in v)
+    v = _int_vector(v)
     if rows and len(v) != len(rows[0]):
         raise DimensionMismatch("vector length does not match matrix width")
     if all(x == 0 for x in v):
@@ -345,7 +362,7 @@ def solve_rational(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple
     to the final pivot ``p``, so the solution is ``a[i][n] / p`` and the only
     rational arithmetic is that last division.
     """
-    a = [[int(x) for x in row] + [int(y)] for row, y in zip(matrix, rhs)]
+    a = [list(_int_vector(row)) + [_exact_int(y)] for row, y in zip(matrix, rhs)]
     n = len(a)
     if any(len(row) != n + 1 for row in a):
         raise DimensionMismatch("solve_rational expects a square matrix")

@@ -7,6 +7,13 @@ non-vertex rows change neither the base locus nor any downstream verdict,
 and computing supports on vertex rows keeps the full matrix and its
 vertex-row submatrix literally interchangeable.
 
+Base strata are the relevant variable subsets that meet the support of
+every vertex row, i.e. the relevant transversals of the row supports.
+``base_locus_strata`` finds them on bitmasks, with one mask per row support
+and per irrelevant component.  A search decides the variables in index
+order and drops a branch once it cannot lead to a stratum, so it does not
+test all 2^r subsets.
+
 Monomial file format: one monomial per line, either ``r`` space-separated
 nonnegative integers or a symbolic product like ``x1^3*x2`` (variables
 ``x<k>`` or ``y<k>``, 1-based; the letter is cosmetic and both address the
@@ -117,12 +124,15 @@ class BaseStratum:
 
     ``face_supports`` maps each variable of the stratum to the vertex rows
     whose exponent is 1 there and 0 on the rest of the stratum; ``k`` counts
-    the variables with nonempty support.
+    the variables with nonempty support.  Iterating yields the variables.
     """
 
     variables: tuple[int, ...]
     face_supports: tuple[tuple[int, tuple[int, ...]], ...]
     k: int
+
+    def __iter__(self):
+        return iter(self.variables)
 
     def support(self, var: int) -> tuple[int, ...]:
         for v, rows in self.face_supports:
@@ -138,35 +148,90 @@ def _hits(row: Row, c: Iterable[int]) -> bool:
     return any(row[j] > 0 for j in c)
 
 
+def _mask(variables: Iterable[int]) -> int:
+    m = 0
+    for j in variables:
+        m |= 1 << j
+    return m
+
+
+def _vertex_masks(sys: MonomialSystem) -> list[tuple[int, int, int]]:
+    """(row, support mask, mask of the exponent-1 variables) per vertex row."""
+    out = []
+    for i in sys.vertex_rows:
+        row = sys.exponents[i]
+        out.append((
+            i,
+            _mask(j for j, x in enumerate(row) if x),
+            _mask(j for j, x in enumerate(row) if x == 1),
+        ))
+    return out
+
+
+def _supports_on(masks, c: tuple[int, ...], cmask: int):
+    """Face supports of C: a row supports rho when it meets C only at rho,
+    with exponent 1 there."""
+    supports: dict[int, tuple[int, ...]] = dict.fromkeys(c, ())
+    for i, support, ones in masks:
+        t = support & cmask
+        if t & ones and not t & (t - 1):
+            supports[t.bit_length() - 1] += (i,)
+    return tuple(supports.items())
+
+
 def _face_supports_for(sys: MonomialSystem, c: tuple[int, ...]):
-    supports = []
-    for rho in c:
-        rows = tuple(
-            i
-            for i in sys.vertex_rows
-            if sys.exponents[i][rho] == 1
-            and all(sys.exponents[i][g] == 0 for g in c if g != rho)
-        )
-        supports.append((rho, rows))
-    return tuple(supports)
+    return _supports_on(_vertex_masks(sys), c, _mask(c))
 
 
 def base_locus_strata(sys: MonomialSystem) -> list[BaseStratum]:
     """All relevant zero patterns on which every vertex monomial vanishes.
 
-    Ordered by size, then lexicographically; the list includes every
-    relevant subset and superset of a hitting pattern that itself hits,
-    since non-maximal strata inside the base locus must be checked too.
+    A pattern C is a base stratum when it contains no irrelevant component
+    and meets the support of every vertex row; non-maximal strata inside
+    the base locus are listed too, since they must be checked as well.
+    The search decides the variables in index order, putting each one in C
+    or leaving it out.  It drops a branch as soon as putting a variable in
+    completes an irrelevant component, or leaving it out leaves some row
+    support that no undecided variable can meet any more.  The result is
+    ordered by size, then lexicographically, like ``relevant_subsets``.
     """
-    vertex_exps = sys.vertex_exponents()
+    r = sys.num_vars
+    masks = _vertex_masks(sys)
+    rows = {support for _, support, _ in masks}
+    comps = [_mask(c) for c in sys.ambient.irrelevant]
+    if 0 in rows or 0 in comps:
+        return []
+    # Each constraint is settled at its highest variable: a row support
+    # must be met by then, and a component is complete only once it is in.
+    rows_ending: list[list[int]] = [[] for _ in range(r)]
+    for m in rows:
+        rows_ending[m.bit_length() - 1].append(m)
+    comps_ending: list[list[int]] = [[] for _ in range(r)]
+    for m in comps:
+        comps_ending[m.bit_length() - 1].append(m)
+
+    found: list[int] = []
+
+    def search(j: int, chosen: int) -> None:
+        if j == r:
+            found.append(chosen)
+            return
+        taken = chosen | 1 << j
+        if not any(comp & taken == comp for comp in comps_ending[j]):
+            search(j + 1, taken)
+        if all(m & chosen for m in rows_ending[j]):
+            search(j + 1, chosen)
+
+    search(0, 0)
+    patterns = sorted(
+        ((tuple(j for j in range(r) if cmask >> j & 1), cmask) for cmask in found),
+        key=lambda p: (len(p[0]), p[0]),
+    )
     strata = []
-    for c in _toric.relevant_subsets(sys.ambient):
-        if not c:
-            continue
-        if all(_hits(row, c) for row in vertex_exps):
-            supports = _face_supports_for(sys, c)
-            k = sum(1 for _, rows in supports if rows)
-            strata.append(BaseStratum(variables=c, face_supports=supports, k=k))
+    for c, cmask in patterns:
+        supports = _supports_on(masks, c, cmask)
+        k = sum(1 for _, rows_ in supports if rows_)
+        strata.append(BaseStratum(variables=c, face_supports=supports, k=k))
     return strata
 
 

@@ -22,10 +22,9 @@ independent oracle for it (and vice versa).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import linsys as _linsys
 from . import toric as _toric
@@ -93,15 +92,28 @@ def _gamma_ranks(sys: _linsys.MonomialSystem, rows: Sequence[int], gamma: Sequen
     return small, big
 
 
-def _nonempty_support_vars(sys, c: tuple[int, ...]) -> list[int]:
-    return [rho for rho, rows in _linsys._face_supports_for(sys, c) if rows]
-
-
 def _require_stratum(sys, c) -> tuple[int, ...]:
     cs = tuple(sorted(set(c)))
     if not _linsys.is_base_stratum(sys, cs):
         raise NotBaseStratum(f"{cs} is not a base-locus stratum")
     return cs
+
+
+def _stratum_data(sys, c):
+    """Variables and face supports of a stratum.
+
+    A ``BaseStratum`` from ``base_locus_strata`` is trusted as it is; any
+    other iterable of variables is validated first.
+    """
+    if isinstance(c, _linsys.BaseStratum):
+        return c.variables, dict(c.face_supports)
+    cs = _require_stratum(sys, c)
+    return cs, dict(_linsys._face_supports_for(sys, cs))
+
+
+def _m_gamma(supports, gamma: Sequence[int]) -> tuple[int, ...]:
+    """``linsys.m_gamma`` read off the face supports: their sorted union."""
+    return tuple(sorted(i for rho in gamma for i in supports[rho]))
 
 
 def check_stratum_rank(
@@ -111,33 +123,36 @@ def check_stratum_rank(
 ) -> StratumWitness | StratumFailure:
     """Rank test for one stratum.
 
+    ``c`` is a ``BaseStratum`` or an iterable of variables (validated).
     With ``restricted=False`` the coordinate-sum slice is taken over all
     lattice points of the Newton polytope with no vanishing condition
     outside gamma (the literal reading, exposed for comparison).
     """
-    cs = _require_stratum(sys, c)
-    if restricted:
-        candidates = _nonempty_support_vars(sys, cs)
-    else:
-        # literal reading: any nonempty subset of the stratum may carry a
-        # nonempty lattice-point slice, with no vanishing condition outside
-        candidates = list(cs)
-    if restricted and not candidates:
+    if not restricted:
+        return _check_rank_unrestricted(sys, _require_stratum(sys, c))
+    cs, supports = _stratum_data(sys, c)
+    candidates = [rho for rho in cs if supports[rho]]
+    if not candidates:
         return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
-    some_slice_nonempty = False
     for size in range(1, len(candidates) + 1):
         for gamma in itertools.combinations(candidates, size):
-            if restricted:
-                rows = _linsys.m_gamma(sys, cs, gamma)
-                if not rows:
-                    continue
-                small, big = _gamma_ranks(sys, rows, gamma)
-            else:
-                points = _linsys.m_gamma_unrestricted(sys, gamma)
-                if not points:
-                    continue
-                small = rank_rational([tuple(p[j] for j in gamma) for p in points])
-                big = rank_rational(points)
+            small, big = _gamma_ranks(sys, _m_gamma(supports, gamma), gamma)
+            if 2 * small > big:
+                return StratumWitness(cs, gamma, len(gamma), small, big)
+    return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
+
+
+def _check_rank_unrestricted(sys, cs: tuple[int, ...]) -> StratumWitness | StratumFailure:
+    # literal reading: any nonempty subset of the stratum may carry a
+    # nonempty lattice-point slice, with no vanishing condition outside
+    some_slice_nonempty = False
+    for size in range(1, len(cs) + 1):
+        for gamma in itertools.combinations(cs, size):
+            points = _linsys.m_gamma_unrestricted(sys, gamma)
+            if not points:
+                continue
+            small = rank_rational([tuple(p[j] for j in gamma) for p in points])
+            big = rank_rational(points)
             some_slice_nonempty = True
             if 2 * small > big:
                 return StratumWitness(cs, gamma, len(gamma), small, big)
@@ -154,24 +169,24 @@ def check_stratum_polytope(
     A subcollection gamma of nonempty face polytopes is degenerate when the
     union of their translates through the origin spans fewer than ``|gamma|``
     dimensions.  Base points are the lexicographically smallest supporting
-    rows; the span dimension does not depend on that choice.
+    rows; the span dimension does not depend on that choice.  ``c`` is a
+    ``BaseStratum`` or an iterable of variables (validated).
     """
-    cs = _require_stratum(sys, c)
-    supports = dict(_linsys._face_supports_for(sys, cs))
-    support_vars = [rho for rho in cs if supports[rho]]
-    if not support_vars:
+    cs, supports = _stratum_data(sys, c)
+    translated = {}
+    for rho in cs:
+        pts = [sys.exponents[i] for i in supports[rho]]
+        if pts:
+            base = min(pts)
+            translated[rho] = [vector_sub(p, base) for p in pts]
+    if not translated:
         return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
+    support_vars = list(translated)
     for size in range(1, len(support_vars) + 1):
         for gamma in itertools.combinations(support_vars, size):
-            translated = []
-            for rho in gamma:
-                pts = [sys.exponents[i] for i in supports[rho]]
-                base = min(pts)
-                translated.extend(vector_sub(p, base) for p in pts)
-            span = affine_span_dim(translated)
+            span = affine_span_dim([p for rho in gamma for p in translated[rho]])
             if len(gamma) > span:
-                rows = _linsys.m_gamma(sys, cs, gamma)
-                small, big = _gamma_ranks(sys, rows, gamma)
+                small, big = _gamma_ranks(sys, _m_gamma(supports, gamma), gamma)
                 return StratumWitness(cs, gamma, len(gamma), small, big)
     return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
 
@@ -202,15 +217,13 @@ def _check_one(sys, method: Method, c) -> StratumWitness | StratumFailure:
 def is_quasismooth(
     sys: _linsys.MonomialSystem,
     method: Method | str = Method.BOTH,
-    max_workers: int = 0,
 ) -> QSVerdict:
     """Decide quasismoothness of the general member of the system.
 
     A system with empty base locus is quasismooth, as is any system whose
     basis contains a coordinate variable (decided before stratum analysis).
     Otherwise every base stratum must pass; the first failing stratum in
-    the deterministic order is reported.  ``max_workers > 1`` evaluates
-    strata concurrently with identical output.
+    the deterministic order is reported.
     """
     method = Method(method)
     if method not in (Method.RANK, Method.POLYTOPE, Method.BOTH):
@@ -220,12 +233,7 @@ def is_quasismooth(
     strata = _linsys.base_locus_strata(sys)
     if not strata:
         return QSVerdict(True, method)
-    check: Callable = lambda st: _check_one(sys, method, st.variables)
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(check, strata))
-    else:
-        results = [check(st) for st in strata]
+    results = [_check_one(sys, method, st) for st in strata]
     witnesses = []
     for res in results:
         if isinstance(res, StratumFailure):
@@ -240,8 +248,7 @@ def sufficient_screen(sys: _linsys.MonomialSystem, c: Iterable[int]) -> bool:
     True on every base stratum implies quasismooth; the converse fails, so
     a False here decides nothing on its own.
     """
-    cs = _require_stratum(sys, c)
-    supports = _linsys.face_supports(sys, cs)
+    cs, supports = _stratum_data(sys, c)
     k = sum(1 for rows in supports.values() if rows)
     return k > _toric.stratum_image_dim(sys.ambient, cs, sys.degree[0])
 
@@ -254,8 +261,7 @@ def necessary_screen(sys: _linsys.MonomialSystem, c: Iterable[int]) -> bool:
     """
     if has_generator_row(sys):
         raise GeneratorInBasis("necessary screen assumes no generator in the basis")
-    cs = _require_stratum(sys, c)
-    supports = _linsys.face_supports(sys, cs)
+    cs, supports = _stratum_data(sys, c)
     k = sum(1 for rows in supports.values() if rows)
     dim_stratum = sys.num_vars - len(cs)
     return dim_stratum - k <= _toric.irrelevant_dim_in_stratum(sys.ambient, cs)

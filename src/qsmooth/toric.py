@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import polytope as _poly
@@ -191,6 +191,10 @@ class StratumSet:
     """All relevant variable subsets, ordered by size then lexicographically."""
 
     subsets: tuple[tuple[int, ...], ...]
+    _index: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", frozenset(self.subsets))
 
     def __iter__(self):
         return iter(self.subsets)
@@ -200,10 +204,6 @@ class StratumSet:
 
     def __contains__(self, c) -> bool:
         return tuple(sorted(c)) in self._index
-
-    @property
-    def _index(self):
-        return set(self.subsets)
 
 
 @dataclass(frozen=True)

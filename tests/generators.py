@@ -121,6 +121,37 @@ def random_fan_system(rng: random.Random, dim: int = 0):
     return (ambient, fan, system) if system is not None else None
 
 
+def product_ambient(block_sizes) -> ToricAmbient:
+    """Product of projective spaces P^(n_1 - 1) x ... in quotient form.
+
+    Each factor contributes one grading row and one irrelevant component,
+    its own block of variables.
+    """
+    from qsmooth.linalg import IntMatrix
+    from qsmooth.toric import Grading
+
+    blocks, start = [], 0
+    for size in block_sizes:
+        blocks.append(tuple(range(start, start + size)))
+        start += size
+    grading = [tuple(1 if j in block else 0 for j in range(start)) for block in blocks]
+    return ToricAmbient.from_quotient(Grading(IntMatrix.from_rows(grading)), blocks)
+
+
+def random_product_system(rng: random.Random, block_sizes, max_degree: int = 3, max_monomials: int = 8):
+    """Random system of one random multidegree on a product of projective spaces."""
+    ambient = product_ambient(block_sizes)
+    degrees = [rng.randint(1, max_degree) for _ in block_sizes]
+    rows = set()
+    for _ in range(rng.randint(1, max_monomials)):
+        row = []
+        for size, d in zip(block_sizes, degrees):
+            cuts = sorted(rng.randint(0, d) for _ in range(size - 1))
+            row += [b - a for a, b in zip([0] + cuts, cuts + [d])]
+        rows.add(tuple(row))
+    return monomial_system(ambient, sorted(rows))
+
+
 def random_canonical_polytope(rng: random.Random, dim: int):
     """Random canonical polytope built over the cross-polytope skeleton."""
     while True:

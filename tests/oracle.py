@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 from qsmooth.errors import DimensionMismatch, SingularMatrix
+from qsmooth.linsys import BaseStratum
+from qsmooth.toric import relevant_subsets
 
 
 def _price_out(tableau, basis, cost):
@@ -224,3 +226,33 @@ def solve_fraction(matrix, rhs) -> tuple[Fraction, ...]:
                 factor = a[i][col]
                 a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
     return tuple(row[n] for row in a)
+
+
+def base_locus_strata_scan(sys) -> list[BaseStratum]:
+    """Base strata by scanning every relevant subset and filtering it.
+
+    This is the package's former enumerator: it walks
+    ``toric.relevant_subsets`` in (size, lex) order, keeps the subsets that
+    meet every vertex row, and reads each face support off the exponents
+    one variable at a time, with no bitmasks.
+    """
+    vertex_exps = [sys.exponents[i] for i in sys.vertex_rows]
+    strata = []
+    for c in relevant_subsets(sys.ambient):
+        if not c or not all(any(row[j] > 0 for j in c) for row in vertex_exps):
+            continue
+        supports = tuple(
+            (
+                rho,
+                tuple(
+                    i
+                    for i in sys.vertex_rows
+                    if sys.exponents[i][rho] == 1
+                    and all(sys.exponents[i][g] == 0 for g in c if g != rho)
+                ),
+            )
+            for rho in c
+        )
+        k = sum(1 for _, rows in supports if rows)
+        strata.append(BaseStratum(variables=c, face_supports=supports, k=k))
+    return strata

@@ -1,19 +1,11 @@
-import os
-
 import pytest
 
 from conftest import fixture_path
 from qsmooth.cli import config_from_args, main, run
 
 
-def run_cli(argv, env_threads=None):
-    if env_threads is not None:
-        os.environ["QSM_THREADS"] = str(env_threads)
-    try:
-        cfg = config_from_args(argv)
-        return run(cfg)
-    finally:
-        os.environ.pop("QSM_THREADS", None)
+def run_cli(argv):
+    return run(config_from_args(argv))
 
 
 def check_args(ambient, monomials, *extra):
@@ -92,8 +84,7 @@ class TestCheckCommand:
         )
         first = run_cli(args)
         second = run_cli(args)
-        threaded = run_cli(args, env_threads=3)
-        assert first == second == threaded
+        assert first == second
 
     def test_missing_file_exits_two(self):
         code, report = run_cli(check_args("ambient_p2xp1.txt", "no_such_file.txt"))

@@ -201,6 +201,27 @@ class TestSolveAndKernel:
         with pytest.raises(DimensionMismatch):
             solve_rational([(1, 2, 3), (4, 5, 6)], (1, 1))
 
+    def test_integral_fractions_and_floats_accepted(self):
+        assert solve_rational([(Fraction(3), 0), (1, 4.0)], (Fraction(2, 2), 1)) == (
+            Fraction(1, 3),
+            Fraction(1, 6),
+        )
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 2.5, float("nan"), "3"])
+    def test_non_integral_entries_rejected(self, bad):
+        with pytest.raises(ValueError):
+            solve_rational([(bad, 0), (0, 1)], (1, 1))
+        with pytest.raises(ValueError):
+            solve_rational([(1, 0), (0, 1)], (bad, 1))
+        with pytest.raises(ValueError):
+            rank_rational([(1, bad), (0, 1)])
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([(bad,)])
+        with pytest.raises(ValueError):
+            in_row_space((bad, 0), [(1, 0)])
+        with pytest.raises(ValueError):
+            in_row_space((1, 0), [(bad, 0)], over="integers")
+
     def test_kernel_annihilates(self):
         rows = [(1, 2, 3, 4), (0, 1, 1, 0)]
         basis = rational_kernel_basis(rows)

@@ -1,10 +1,18 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from generators import enumerate_atomic_sums, random_atomic_sum, random_fan_system, wps_weights_for
-from oracle import in_convex_hull
+from conftest import FIXTURES
+from generators import (
+    enumerate_atomic_sums,
+    random_atomic_sum,
+    random_fan_system,
+    random_product_system,
+    wps_weights_for,
+)
+from oracle import base_locus_strata_scan, in_convex_hull
 from qsmooth.errors import (
     DuplicateMonomial,
     EmptyGamma,
@@ -13,7 +21,9 @@ from qsmooth.errors import (
     ParseError,
 )
 from qsmooth.linsys import (
+    BaseStratum,
     base_locus_strata,
+    load_system,
     face_supports,
     format_monomials,
     m_gamma,
@@ -24,7 +34,15 @@ from qsmooth.linsys import (
 )
 from qsmooth.linalg import affine_span_dim
 from qsmooth.polytope import hull
-from qsmooth.qscheck import is_quasismooth
+from qsmooth.qscheck import (
+    Method,
+    QSVerdict,
+    StratumFailure,
+    certificate_lines,
+    check_stratum_polytope,
+    check_stratum_rank,
+    is_quasismooth,
+)
 from qsmooth.toric import Fan, ToricAmbient, make_wps
 
 P1_FAN = Fan(lattice_rank=1, rays=((1,), (-1,)), max_cones=((0,), (1,)))
@@ -120,6 +138,156 @@ class TestBaseLocusStrata:
         for st in base_locus_strata(p4_system):
             for row in p4_system.exponents:
                 assert sum(row[j] for j in st.variables) >= 1
+
+
+def _fixture_systems():
+    systems = []
+    for ambient in sorted(FIXTURES.glob("ambient_*.txt")):
+        for monomials in sorted(FIXTURES.glob("monomials_*.txt")):
+            try:
+                systems.append(load_system(str(ambient), str(monomials)))
+            except (NotHomogeneous, ParseError, ValueError):
+                continue
+    return systems
+
+
+def _loop_system(r):
+    """x_i^3 x_(i+1) (indices mod r) on P^(r-1)."""
+    rows = [tuple(3 if j == i else 1 if j == (i + 1) % r else 0 for j in range(r)) for i in range(r)]
+    return monomial_system(make_wps([1] * r), rows)
+
+
+def _verdict_on_plain_tuples(sys_, method):
+    """``is_quasismooth`` rebuilt from the oracle strata and validated checks."""
+    strata = base_locus_strata_scan(sys_)
+    if any(sum(row) == 1 for row in sys_.exponents) or not strata:
+        return None
+    results = []
+    for st in strata:
+        c = tuple(st.variables)
+        if method == Method.POLYTOPE:
+            results.append(check_stratum_polytope(sys_, c))
+        else:
+            results.append(check_stratum_rank(sys_, c))
+            if method == Method.BOTH:
+                assert check_stratum_polytope(sys_, c) == results[-1]
+    for res in results:
+        if isinstance(res, StratumFailure):
+            return QSVerdict(False, method, failure=res)
+    return QSVerdict(True, method, witnesses=tuple(results))
+
+
+class TestBaseStrataDifferential:
+    """The bitmask search lists exactly the strata of the subset scan."""
+
+    def _same(self, sys_):
+        strata = base_locus_strata(sys_)
+        assert strata == base_locus_strata_scan(sys_)
+        assert all(isinstance(st, BaseStratum) for st in strata)
+        return strata
+
+    def test_fixtures(self):
+        systems = _fixture_systems()
+        assert len(systems) >= 7
+        assert sum(len(self._same(sys_)) for sys_ in systems) > 0
+
+    def test_random_fan_systems(self):
+        rng = random.Random(41_414)
+        drawn = strata = 0
+        while drawn < 200:
+            out = random_fan_system(rng)
+            if out is None:
+                continue
+            drawn += 1
+            strata += len(self._same(out[2]))
+        assert strata > 100
+
+    def test_random_atomic_sums_up_to_twelve_variables(self):
+        rng = random.Random(42_424)
+        for n in range(1, 13):
+            for _ in range(3):
+                _, rows = random_atomic_sum(rng, n, max_exp=4)
+                weights, _ = wps_weights_for(rows)
+                self._same(monomial_system(make_wps(weights), rows))
+
+    def test_products_of_projective_spaces(self):
+        rng = random.Random(43_434)
+        nonempty = 0
+        for _ in range(120):
+            blocks = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+            nonempty += bool(self._same(random_product_system(rng, blocks)))
+        assert nonempty > 30
+
+    def test_empty_base_locus(self):
+        sys_ = monomial_system(make_wps([1] * 5), [tuple(3 * (j == i) for j in range(5)) for i in range(5)])
+        assert self._same(sys_) == []
+
+    def test_certificates_match_checks_on_plain_tuples(self):
+        rng = random.Random(44_444)
+        systems = _fixture_systems()
+        systems += [random_product_system(rng, [2, 3]) for _ in range(20)]
+        while len(systems) < 120:
+            out = random_fan_system(rng)
+            if out is not None:
+                systems.append(out[2])
+        compared = 0
+        for sys_ in systems:
+            for method in (Method.RANK, Method.POLYTOPE, Method.BOTH):
+                expected = _verdict_on_plain_tuples(sys_, method)
+                if expected is None:
+                    continue
+                compared += 1
+                got = is_quasismooth(sys_, method)
+                assert certificate_lines(got) == certificate_lines(expected)
+        assert compared > 150
+
+    def test_plain_tuple_off_the_base_locus_rejected(self, product_system):
+        assert (0,) not in [st.variables for st in base_locus_strata(product_system)]
+        for check in (check_stratum_rank, check_stratum_polytope):
+            with pytest.raises(NotBaseStratum):
+                check(product_system, (0,))
+            with pytest.raises(NotBaseStratum):
+                check(product_system, [2, 1, 0, 3, 4])
+
+    def test_base_stratum_iterates_over_its_variables(self, product_system):
+        for st in base_locus_strata(product_system):
+            assert tuple(st) == st.variables
+            assert check_stratum_rank(product_system, st) == check_stratum_rank(
+                product_system, list(st)
+            )
+
+
+class TestLoopSystemScaling:
+    """Base strata of the cycle x_i^3 x_(i+1): the proper vertex covers of
+    the r-cycle, L_r - 1 of them (L_r the r-th Lucas number)."""
+
+    def test_counts_are_lucas_numbers_minus_one(self):
+        lucas = [2, 1]
+        while len(lucas) <= 18:
+            lucas.append(lucas[-1] + lucas[-2])
+        for r in range(3, 19):
+            assert len(base_locus_strata(_loop_system(r))) == lucas[r] - 1
+        assert lucas[18] - 1 == 5777
+
+    def test_small_cycles_match_the_scan(self):
+        for r in range(3, 10):
+            sys_ = _loop_system(r)
+            assert base_locus_strata(sys_) == base_locus_strata_scan(sys_)
+
+    def test_eighteen_variables_within_budget(self):
+        # On a 2-core x86-64 host with Python 3.11 the subset scan this
+        # replaced took 1.8-2.6 s for the strata and 3.1-4.9 s for the
+        # check; the bitmask search takes about 0.1 s and 0.35 s there.
+        sys_ = _loop_system(18)
+        start = time.perf_counter()
+        strata = base_locus_strata(sys_)
+        strata_s = time.perf_counter() - start
+        start = time.perf_counter()
+        verdict = is_quasismooth(sys_)
+        check_s = time.perf_counter() - start
+        assert len(strata) == len(verdict.witnesses) == 5777
+        assert strata_s < 0.6, f"strata took {strata_s:.2f} s"
+        assert check_s < 1.5, f"check took {check_s:.2f} s"
 
 
 class TestFaceSupports:

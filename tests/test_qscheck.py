@@ -144,10 +144,6 @@ class TestVerdicts:
         rows = [(a, b, 2 - a - b) for a in range(3) for b in range(3 - a)]
         assert is_quasismooth(monomial_system(P2, rows)).quasismooth
 
-    def test_parallel_evaluation_matches_serial(self, product_system, p4_system):
-        for sys_ in (product_system, p4_system):
-            assert is_quasismooth(sys_, max_workers=4) == is_quasismooth(sys_)
-
     def test_single_method_runs(self, product_system):
         for method in (Method.RANK, Method.POLYTOPE):
             verdict = is_quasismooth(product_system, method)
