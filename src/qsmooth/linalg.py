@@ -28,9 +28,9 @@ def _exact_int(x) -> int:
     try:
         n = int(x)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"matrix entry {x!r} is not an integer") from exc
+        raise ValueError(f"entry {x!r} is not an integer") from exc
     if n != x:
-        raise ValueError(f"matrix entry {x!r} is not an integer")
+        raise ValueError(f"entry {x!r} is not an integer")
     return n
 
 

@@ -37,7 +37,7 @@ from .errors import (
     NotHomogeneous,
     ParseError,
 )
-from .linalg import affine_span_dim, vector_sub
+from .linalg import _int_vector, affine_span_dim, vector_sub
 
 Row = tuple[int, ...]
 
@@ -73,9 +73,13 @@ def monomial_system(
 
     When the rows are affinely independent (as for every square system with
     an invertible exponent matrix) each row is a vertex and the hull is
-    skipped; otherwise the vertices come from ``polytope.hull``.
+    skipped; otherwise the vertices come from ``polytope.hull``, an exact
+    beneath-beyond hull.  A non-integral exponent raises ``ValueError``.
     """
-    exps = tuple(tuple(int(x) for x in r) for r in rows)
+    try:
+        exps = tuple(_int_vector(r) for r in rows)
+    except ValueError as exc:
+        raise ValueError(f"monomial exponents must be integers: {exc}") from exc
     if not exps:
         raise EmptyInput("a monomial system needs at least one monomial")
     for r in exps:

@@ -2,9 +2,11 @@
 
 Polytopes are stored with explicit vertex lists, facet inequalities
 ``<normal, x> >= offset`` and, when the hull is not full-dimensional,
-affine-hull equations.  Facet enumeration is an exhaustive search over
-vertex subsets, which is exact and fast at the scale this package targets
-(ambient dimension <= 8, a few dozen points).
+affine-hull equations.  Facets are found by an incremental beneath-beyond
+hull in integer arithmetic on a full-dimensional projection of the
+points, then listed in a fixed order with normals read off in ambient
+coordinates, so the facet list depends only on the input points and
+their order.
 
 Lower-dimensional polytopes are kept in their ambient coordinates rather
 than being projected; the affine hull is recorded as equations.
@@ -29,10 +31,10 @@ from .errors import (
     ParseError,
 )
 from .linalg import (
+    _int_vector,
     dot,
     gcd_vector,
     primitive,
-    rank_rational,
     rational_kernel_basis,
     vector_sub,
 )
@@ -128,78 +130,190 @@ def _drop_midpoints(pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return core
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _echelon_add(echelon: list, v: Sequence[int]) -> bool:
+    """Reduce ``v`` by the rows of ``echelon``; append it if it stays nonzero.
+
+    ``echelon`` holds ``(pivot column, primitive row)`` pairs, each row zero
+    at the pivot columns of the rows before it, so the rows stay linearly
+    independent and fraction-free.
+    """
+    for c, row in echelon:
+        if v[c]:
+            a, b = row[c], v[c]
+            v = [a * x - b * y for x, y in zip(v, row)]
+    for c, x in enumerate(v):
+        if x:
+            echelon.append((c, primitive(v)))
+            return True
+    return False
+
+
+def _affine_basis(pts: Sequence[tuple[int, ...]], mask: int, size: int) -> list[int]:
+    """Greedy affinely independent subset of the points in ``mask``.
+
+    Scans the indices in increasing order and keeps each point that is
+    affinely independent of those kept, stopping at ``size`` points.
+    Affine independence is a matroid, so when ``size`` is the affine rank
+    plus one this is the lexicographically first basis of the set.
+    """
+    chosen: list[int] = []
+    echelon: list = []
+    for i in _bits(mask):
+        if len(chosen) == size:
+            break
+        if not chosen or _echelon_add(echelon, vector_sub(pts[i], pts[chosen[0]])):
+            chosen.append(i)
+    return chosen
+
+
+def _facet_masks(pts: list[tuple[int, ...]], dim: int) -> list[int]:
+    """Incidence bitmasks of the facets of the hull of full-dimensional ``pts``.
+
+    Beneath-beyond (Edelsbrunner 1987): start from the first ``dim + 1``
+    affinely independent points and add the others one at a time.  Each
+    facet is kept as its primitive inner normal and offset, mapped to the
+    mask of the points added so far that lie on its hyperplane.  A point
+    joins every facet whose hyperplane it lies on; the facets it sees
+    (strictly beyond) are replaced by one facet through the point for each
+    horizon ridge, i.e. each ridge shared with a facet the point is
+    strictly beneath.  New facets on the same hyperplane merge.
+    """
+    simplex = _affine_basis(pts, (1 << len(pts)) - 1, dim + 1)
+    # (dim + 1) times the simplex centroid, strictly inside every later hull
+    inner = tuple(sum(col) for col in zip(*(pts[i] for i in simplex)))
+
+    def plane(ids: list[int]) -> tuple[tuple[int, ...], int]:
+        p0 = pts[ids[0]]
+        (normal,) = rational_kernel_basis(
+            [vector_sub(pts[i], p0) for i in ids[1:]], width=dim
+        )
+        offset = dot(normal, p0)
+        if dot(normal, inner) < (dim + 1) * offset:
+            return tuple(-x for x in normal), -offset
+        return normal, offset
+
+    facets: dict[tuple[tuple[int, ...], int], int] = {}
+    for skip in simplex:
+        ids = [i for i in simplex if i != skip]
+        facets[plane(ids)] = sum(1 << i for i in ids)
+    in_simplex = set(simplex)
+    for q, x in enumerate(pts):
+        if q in in_simplex:
+            continue
+        bit = 1 << q
+        visible = []
+        kept = {}
+        for key, mask in facets.items():
+            side = dot(key[0], x) - key[1]
+            if side < 0:
+                visible.append(mask)
+            else:
+                kept[key] = mask | bit if side == 0 else mask
+        if visible:
+            horizon = [m for m in kept.values() if not m & bit]
+            new: dict[tuple[tuple[int, ...], int], int] = {}
+            for vis in visible:
+                for other in horizon:
+                    ridge = vis & other
+                    if ridge.bit_count() < dim - 1:
+                        continue
+                    ids = _affine_basis(pts, ridge, dim - 1)
+                    if len(ids) == dim - 1:
+                        key = plane(ids + [q])
+                        new[key] = new.get(key, 0) | ridge | bit
+            kept.update(new)
+        facets = kept
+    return list(facets.values())
+
+
 def _int_hull_data(pts: list[tuple[int, ...]]):
-    """Facets, equations and vertex flags for the hull of integer points."""
+    """Facets, equations and vertex flags for the hull of integer points.
+
+    The facets come from ``_facet_masks`` on the core points (those that
+    are not midpoints of two others) written in ``dim`` pivot coordinates
+    of their affine hull.  They are listed in the order of the
+    lexicographically first affinely independent ``dim``-subset of their
+    support, and each normal is the first vector of the kernel of that
+    subset that does not vanish on the affine hull, with its sign fixed so
+    that the hull lies on the nonnegative side, reduced by its gcd.  A core
+    point is a vertex when the facets through it meet in that point alone.
+    """
     n = len(pts[0])
     base = pts[0]
     diffs = [vector_sub(p, base) for p in pts[1:]]
-    dim = rank_rational(diffs) if diffs else 0
+    # ``span`` is a basis of the directions of the affine hull; its pivot
+    # columns are coordinates on which the hull projects one-to-one.
+    span: list = []
+    for d in diffs:
+        _echelon_add(span, d)
+    dim = len(span)
 
     eq_normals = rational_kernel_basis(diffs, width=n) if dim < n else []
     equations = [Equation(tuple(nv), dot(nv, base)) for nv in eq_normals]
+    if dim == 0:
+        return dim, [], equations, [n > 0]
+
+    cols = [c for c, _ in span]
+    core = _drop_midpoints(pts)
+    proj = [tuple(p[j] for j in cols) for p in core]
+    masks = _facet_masks(proj, dim)
 
     facets: list[Facet] = []
-    seen_supports: set[frozenset] = set()
-    eq_rank = rank_rational(eq_normals) if eq_normals else 0
-    core = _drop_midpoints(pts)
-    if dim >= 1:
-        for subset in itertools.combinations(range(len(core)), dim):
-            s0 = core[subset[0]]
-            sub_diffs = [vector_sub(core[i], s0) for i in subset[1:]]
-            if sub_diffs and rank_rational(sub_diffs) != dim - 1:
-                continue
-            kernel = rational_kernel_basis(sub_diffs, width=n)
-            normal = None
-            for cand in kernel:
-                if rank_rational(eq_normals + [cand]) > eq_rank:
-                    normal = cand
-                    break
-            if normal is None:
-                continue
-            pivot = dot(normal, s0)
-            values = [dot(normal, p) for p in core]
-            if all(v >= pivot for v in values):
-                pass
-            elif all(v <= pivot for v in values):
-                normal = tuple(-x for x in normal)
-                pivot = -pivot
-                values = [-v for v in values]
-            else:
-                continue
-            support = frozenset(i for i, v in enumerate(values) if v == pivot)
-            if support in seen_supports:
-                continue
-            seen_supports.add(support)
-            g = gcd_vector(normal)
-            if g > 1:
-                normal = tuple(x // g for x in normal)
-                pivot = pivot // g
-            facets.append(Facet(normal, pivot))
+    for basis, mask in sorted((_affine_basis(proj, m, dim), m) for m in masks):
+        s0 = core[basis[0]]
+        kernel = rational_kernel_basis(
+            [vector_sub(core[i], s0) for i in basis[1:]], width=n
+        )
+        normal = next(v for v in kernel if any(dot(v, row) for _, row in span))
+        pivot = dot(normal, s0)
+        off = next(i for i in range(len(core)) if not mask >> i & 1)
+        if dot(normal, core[off]) < pivot:
+            normal = tuple(-x for x in normal)
+            pivot = -pivot
+        g = gcd_vector(normal)
+        if g > 1:
+            normal = tuple(x // g for x in normal)
+            pivot = pivot // g
+        facets.append(Facet(normal, pivot))
 
-    vertex_flags = []
-    for p in pts:
-        tight = [f.normal for f in facets if dot(f.normal, p) == f.offset]
-        tight += [eq.normal for eq in equations]
-        vertex_flags.append(bool(tight) and rank_rational(tight) == n)
-    return dim, facets, equations, vertex_flags
+    meet = [(1 << len(core)) - 1] * len(core)
+    for m in masks:
+        for i in _bits(m):
+            meet[i] &= m
+    vertices = {p for i, p in enumerate(core) if meet[i] == 1 << i}
+    return dim, facets, equations, [p in vertices for p in pts]
 
 
 def hull(points: Sequence[Sequence[Coord]]) -> LatticePolytope:
     """Convex hull of integer points with exact facet data.
 
     The returned vertex list is minimal: no vertex lies in the hull of the
-    others.  Works in any ambient dimension; lower-dimensional hulls carry
-    their affine-hull equations.
+    others, and vertices keep the order of the input.  Facets are listed by
+    the lexicographically first affinely independent subset of their
+    support among the input points that are not midpoints of two others,
+    so the facet order, and with it the ray order of ``normal_fan``, is a
+    function of the input.  Works in any ambient dimension;
+    lower-dimensional hulls carry their affine-hull equations.  A
+    coordinate that is not an integer (a proper fraction, a float with a
+    fractional part, a string) raises ``ValueError``.
     """
-    pts = _dedupe(points)
+    try:
+        pts = _dedupe([_int_vector(p) for p in points])
+    except ValueError as exc:
+        raise ValueError(f"hull expects integer points, use rational_hull: {exc}") from exc
     if not pts:
         raise EmptyInput("hull of an empty point set")
     widths = {len(p) for p in pts}
     if len(widths) != 1:
         raise DimensionMismatch("points of unequal dimension")
-    if any(isinstance(x, Fraction) and x.denominator != 1 for p in pts for x in p):
-        raise ValueError("hull expects integer points; use rational_hull")
-    pts = [tuple(int(x) for x in p) for p in pts]
     n = len(pts[0])
     dim, facets, equations, flags = _int_hull_data(pts)
     vertices = tuple(p for p, keep in zip(pts, flags) if keep)

@@ -11,7 +11,15 @@ from fractions import Fraction
 from itertools import product
 
 from qsmooth.errors import DimensionMismatch, SingularMatrix
+from qsmooth.linalg import (
+    dot,
+    gcd_vector,
+    rank_rational,
+    rational_kernel_basis,
+    vector_sub,
+)
 from qsmooth.linsys import BaseStratum
+from qsmooth.polytope import Equation, Facet, _drop_midpoints
 from qsmooth.toric import relevant_subsets
 
 
@@ -256,3 +264,69 @@ def base_locus_strata_scan(sys) -> list[BaseStratum]:
         k = sum(1 for _, rows in supports if rows)
         strata.append(BaseStratum(variables=c, face_supports=supports, k=k))
     return strata
+
+
+def int_hull_data_exhaustive(pts):
+    """Facets, equations and vertex flags by testing every facet candidate.
+
+    This is the package's former ``polytope._int_hull_data``: it tries every
+    ``dim``-subset of the core points (the points that are not midpoints of
+    two others) in ``itertools.combinations`` order, keeps each affinely
+    independent subset whose hyperplane supports the hull, and records a
+    facet the first time its support appears.  A point is a vertex when the
+    normals of the facets and equations through it have full rank.
+    """
+    from itertools import combinations
+
+    n = len(pts[0])
+    base = pts[0]
+    diffs = [vector_sub(p, base) for p in pts[1:]]
+    dim = rank_rational(diffs) if diffs else 0
+
+    eq_normals = rational_kernel_basis(diffs, width=n) if dim < n else []
+    equations = [Equation(tuple(nv), dot(nv, base)) for nv in eq_normals]
+
+    facets = []
+    seen_supports = set()
+    eq_rank = rank_rational(eq_normals) if eq_normals else 0
+    core = _drop_midpoints(pts)
+    if dim >= 1:
+        for subset in combinations(range(len(core)), dim):
+            s0 = core[subset[0]]
+            sub_diffs = [vector_sub(core[i], s0) for i in subset[1:]]
+            if sub_diffs and rank_rational(sub_diffs) != dim - 1:
+                continue
+            kernel = rational_kernel_basis(sub_diffs, width=n)
+            normal = None
+            for cand in kernel:
+                if rank_rational(eq_normals + [cand]) > eq_rank:
+                    normal = cand
+                    break
+            if normal is None:
+                continue
+            pivot = dot(normal, s0)
+            values = [dot(normal, p) for p in core]
+            if all(v >= pivot for v in values):
+                pass
+            elif all(v <= pivot for v in values):
+                normal = tuple(-x for x in normal)
+                pivot = -pivot
+                values = [-v for v in values]
+            else:
+                continue
+            support = frozenset(i for i, v in enumerate(values) if v == pivot)
+            if support in seen_supports:
+                continue
+            seen_supports.add(support)
+            g = gcd_vector(normal)
+            if g > 1:
+                normal = tuple(x // g for x in normal)
+                pivot = pivot // g
+            facets.append(Facet(normal, pivot))
+
+    vertex_flags = []
+    for p in pts:
+        tight = [f.normal for f in facets if dot(f.normal, p) == f.offset]
+        tight += [eq.normal for eq in equations]
+        vertex_flags.append(bool(tight) and rank_rational(tight) == n)
+    return dim, facets, equations, vertex_flags

@@ -395,6 +395,23 @@ class TestValidation:
             monomial_system(amb, [(2, 0), (1, 0)])
         assert err.value.row_a == 0 and err.value.row_b == 1
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(2.5, 0.5, 0), (0, 3, 0)],
+            [(1.5, 1.5, 0), (0, 3, 0)],
+            [("1", 2, 0), (0, 3, 0)],
+        ],
+    )
+    def test_non_integral_exponents_rejected(self, rows):
+        # int() would truncate these to rows of different degree
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            monomial_system(make_wps([1, 1, 1]), rows)
+
+    def test_integral_float_exponents_accepted(self):
+        sys_ = monomial_system(make_wps([1, 1, 1]), [(3.0, 0, 0), (0, 3, 0)])
+        assert sys_.exponents == ((3, 0, 0), (0, 3, 0))
+
 
 class TestMonomialFormat:
     def test_symbolic_and_numeric_agree(self):

@@ -1,14 +1,24 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from generators import random_canonical_polytope
-from oracle import in_convex_hull, in_interior, interior_lattice_points_bruteforce
+from oracle import (
+    in_convex_hull,
+    in_interior,
+    int_hull_data_exhaustive,
+    interior_lattice_points_bruteforce,
+)
 from qsmooth.errors import EmptyInput, NotFullDim, NotInteriorOrigin
-from qsmooth.linalg import dot
+from qsmooth.linalg import affine_span_dim, dot
 from qsmooth.polytope import (
+    _dedupe,
+    _int_hull_data,
+    _scale_to_int,
     format_polytope,
     hull,
     interior_lattice_points,
@@ -73,13 +83,125 @@ class TestHull:
                 assert p.contains(q)
 
     def test_facets_supported_by_enough_vertices(self):
-        from qsmooth.linalg import affine_span_dim
-
         p = hull(EIGHT_ROWS)
         for f in p.facets:
             tight = [v for v in p.vertices if dot(f.normal, v) == f.offset]
             assert len(tight) >= p.dim
             assert affine_span_dim(tight) == p.dim - 1
+
+
+    def test_integral_floats_and_fractions_accepted(self):
+        p = hull([(2.0, 0), (Fraction(4, 2), 2), (0, 2)])
+        assert p == hull([(2, 0), (2, 2), (0, 2)])
+        assert all(type(x) is int for v in p.vertices for x in v)
+
+    @pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), "1", float("nan")])
+    def test_non_integral_points_rejected(self, bad):
+        with pytest.raises(ValueError, match="integer points"):
+            hull([(bad, 0), (2, 0), (0, 2)])
+
+
+def _cubic_monomials(num_vars):
+    return [m for m in itertools.product(range(4), repeat=num_vars) if sum(m) == 3]
+
+
+def _embed(rng, pts, width):
+    """Image of ``pts`` under a random integer affine map into Z^width."""
+    dim = len(pts[0])
+    matrix = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(width)]
+    shift = [rng.randint(-3, 3) for _ in range(width)]
+    return [
+        tuple(sum(a * x for a, x in zip(row, p)) + c for row, c in zip(matrix, shift))
+        for p in pts
+    ]
+
+
+class TestHullDifferential:
+    """Beneath-beyond gives the exhaustive search's facets, in its order."""
+
+    def _check(self, points):
+        pts = _dedupe(points)
+        data = _int_hull_data(pts)
+        assert data == int_hull_data_exhaustive(pts)
+        flags = data[3]
+        for i, p in enumerate(pts):
+            others = pts[:i] + pts[i + 1 :]
+            assert flags[i] == (not others or not in_convex_hull(others, p))
+        return data
+
+    def test_degree_monomial_subsets(self):
+        rng = random.Random(7_001)
+        for num_vars in range(4, 8):
+            for degree in (2, 3):
+                pool = [
+                    m
+                    for m in itertools.product(range(degree + 1), repeat=num_vars)
+                    if sum(m) == degree
+                ]
+                for _ in range(6):
+                    size = rng.randint(num_vars + 2, min(len(pool), num_vars + 6))
+                    rows = rng.sample(pool, size)
+                    data = self._check(rows)
+                    assert data[0] == affine_span_dim(rows)
+
+    def test_reflexive_polytopes_and_polars(self):
+        rng = random.Random(7_002)
+        polytopes = [load_polytope(str(path)) for path in sorted(FIXTURES.glob("poly_*"))]
+        polytopes += [random_canonical_polytope(rng, rng.choice([2, 3, 4])) for _ in range(12)]
+        for p in polytopes:
+            self._check(list(p.vertices))
+            polar = polar_dual(p)
+            scaled, _ = _scale_to_int(_dedupe(polar.vertices))
+            self._check(scaled)
+            double = polar_dual(polar)
+            assert sorted(double.vertices) == sorted(
+                tuple(map(Fraction, v)) for v in p.vertices
+            )
+
+    def test_random_point_clouds(self):
+        rng = random.Random(7_003)
+        for width in range(1, 6):
+            for _ in range(25):
+                dim = rng.randint(0, width)
+                base = [
+                    tuple(rng.randint(-2, 2) for _ in range(max(dim, 1)))
+                    for _ in range(rng.randint(1, 9))
+                ]
+                if dim == 0:
+                    base = base[:1]
+                pts = base if dim == width else _embed(rng, base, width)
+                if len(pts) >= 2:
+                    a, b = rng.sample(pts, 2)
+                    if all((x + y) % 2 == 0 for x, y in zip(a, b)):
+                        pts.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+                    pts += rng.sample(pts, 2)
+                rng.shuffle(pts)
+                self._check(pts)
+
+    def test_collinear_and_coplanar_sets(self):
+        self._check([(0, 0, 0), (1, 1, 1), (3, 3, 3), (-2, -2, -2), (1, 1, 1)])
+        self._check([(0, 0), (1, 0), (3, 0), (4, 0), (2, 0)])
+        self._check([(x, y, 5 - x - y) for x in range(3) for y in range(3)])
+        self._check(EIGHT_ROWS + [(2, 1, 0, 1, 1), (1, 1, 1, 1, 1)])
+        self._check([(4, 5)])
+
+
+class TestHullScaling:
+    def test_cubic_monomials_in_eight_variables(self):
+        # 24 of the 120 cubic monomials in 8 variables: a 7-dimensional hull.
+        # The exhaustive search tried all C(24, 7) = 346,104 subsets: 70 s
+        # on a 2-core x86-64 host with Python 3.11, against 0.04 s now.
+        rows = random.Random(7_004).sample(_cubic_monomials(8), 24)
+        start = time.perf_counter()
+        p = hull(rows)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0
+        assert p.dim == 7
+        for f in p.facets:
+            assert all(dot(f.normal, r) >= f.offset for r in rows)
+            assert affine_span_dim([r for r in rows if dot(f.normal, r) == f.offset]) == 6
+        for i, r in enumerate(rows):
+            assert (r in p.vertices) == (not in_convex_hull(rows[:i] + rows[i + 1 :], r))
 
 
 class TestLatticePoints:
@@ -180,8 +302,6 @@ class TestLatticePointsAgainstOracle:
                 range(min(v[j] for v in p.vertices), max(v[j] for v in p.vertices) + 1)
                 for j in range(dim)
             ]
-            import itertools
-
             brute = [
                 cand
                 for cand in itertools.product(*box)
