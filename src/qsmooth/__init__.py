@@ -37,9 +37,7 @@ from .linsys import (
     face_supports,
     load_system,
     m_gamma,
-    m_gamma_unrestricted,
     monomial_system,
-    newton_vertices,
     parse_monomials_text,
 )
 from .polytope import (

@@ -20,12 +20,13 @@ from . import toric as _toric
 from .errors import (
     DegreeTooSmall,
     GeneratorInBasis,
+    InvariantViolation,
     NoPositiveSolution,
     NotFakeWPS,
     NotHomogeneous,
     NotSquare,
 )
-from .linalg import rank_rational, solve_rational
+from .linalg import _int_vector, rank_rational, solve_rational
 from .qscheck import (
     FailureReason,
     Method,
@@ -144,7 +145,7 @@ def classify_atomic(
     weights) can be quasismooth without any atomic decomposition, e.g.
     x2*x3, x1^4*x3, x1^5*x2^2 with weights (1, 4, 9).
     """
-    rows = [tuple(int(x) for x in r) for r in rows]
+    rows = [_int_vector(r) for r in rows]
     d = _validate_square_homogeneous(rows, weights)
     if any(d <= w for w in weights):
         raise DegreeTooSmall("system degree must exceed every variable degree")
@@ -215,7 +216,8 @@ def classify_atomic(
     rebuilt = sorted(
         row for atom in decomposition.atoms for row in atom.rows(n)
     )
-    assert rebuilt == sorted(rows), "atom replay does not reproduce the input"
+    if rebuilt != sorted(rows):
+        raise InvariantViolation("atom replay does not reproduce the input")
     return decomposition
 
 
@@ -248,7 +250,7 @@ def transpose_dual(
     integer weights, then divides weights and degree by their common gcd
     so the presentation is normalized.
     """
-    rows = [tuple(int(x) for x in r) for r in rows]
+    rows = [_int_vector(r) for r in rows]
     d = _validate_square_homogeneous(rows, weights)
     if d != degree:
         raise NotHomogeneous(0, 0, (d - degree,))

@@ -11,6 +11,10 @@ class QsmoothError(Exception):
     """Base class for all package errors."""
 
 
+class InvariantViolation(QsmoothError):
+    """An exact re-check of a computed result failed; signals a bug, not bad input."""
+
+
 class ParseError(QsmoothError):
     """Malformed input file; carries the file path and 1-based line number."""
 

@@ -1,12 +1,15 @@
 """Exact integer and rational linear algebra.
 
 All arithmetic uses arbitrary-precision Python integers; no floating
-point appears anywhere in the package.  Ranks are computed with
-fraction-free Gaussian elimination in the Bareiss style, pivoting on the
-entry of largest magnitude to bound intermediate growth.  Kernels and
-rational solves use fraction-free Gauss-Jordan elimination, so a solve
-stays in integers until one final division per coordinate yields a
-:class:`fractions.Fraction`.
+point appears anywhere in the package.  Everything over the rationals
+(ranks, affine spans, row-space membership, kernels and solves) goes
+through one elimination kernel, :class:`Echelon`: a fraction-free row
+echelon form that takes rows one at a time and reports whether each one
+raised the rank.  Kernel vectors are read off it by back substitution, and
+the unique solution of a square system is the kernel vector of the
+augmented matrix at its last column, so a solve stays in integers until
+one final division per coordinate yields a :class:`fractions.Fraction`.
+The Smith normal form works over the integers and has its own loop.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, EmptyInput, SingularMatrix
+from .errors import DimensionMismatch, EmptyInput, InvariantViolation, SingularMatrix
 
 Vector = tuple[int, ...]
 
@@ -154,40 +158,99 @@ def primitive(v: Sequence[int]) -> Vector:
     return tuple(x // g for x in v)
 
 
+class Echelon:
+    """Integer rows in fraction-free row echelon form, added one at a time.
+
+    Each stored row is primitive, zero at the pivot columns of the rows
+    stored before it, and zero before its own pivot, its first nonzero
+    entry.  So the rank of the first ``j`` columns is the number of pivots
+    among them: the pivot columns are those of the reduced row echelon
+    form, and ``kernel`` depends only on the row space.  Rows must
+    hold Python integers; the public functions below convert and check
+    their input first.
+    """
+
+    __slots__ = ("width", "rows")
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list[tuple[int, Vector]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        """Pivot columns, in the order their rows were added."""
+        return [c for c, _ in self.rows]
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Reduce ``v`` by the stored rows; keep it and return True if it stays nonzero."""
+        if len(v) != self.width:
+            raise DimensionMismatch(f"row of length {len(v)} in an echelon of width {self.width}")
+        rows = self.rows
+        if len(rows) == self.width:
+            return False
+        for c, row in rows:
+            b = v[c]
+            if b:
+                a = row[c]
+                v = [a * x - b * y for x, y in zip(v, row)]
+        if not any(v):
+            return False
+        for c, x in enumerate(v):
+            if x:
+                break
+        g = gcd(*v)
+        rows.append((c, tuple(v) if g == 1 else tuple(x // g for x in v)))
+        return True
+
+    def kernel(self) -> list[Vector]:
+        """Primitive integer basis of {x : <row, x> = 0 for every row added}.
+
+        One vector per non-pivot column f, in increasing order: the kernel
+        vector that is 1 at f and 0 at the other non-pivot columns, scaled
+        to a primitive integer vector with a positive entry at f.  It is
+        solved for by back substitution through the rows, latest first.
+        """
+        n = self.width
+        pivots = {c for c, _ in self.rows}
+        latest_first = self.rows[::-1]
+        basis = []
+        for f in range(n):
+            if f in pivots:
+                continue
+            x = [0] * n
+            x[f] = 1
+            for c, row in latest_first:
+                s = sum(map(mul, row, x))
+                if s:
+                    # scale x by a / g, then solve row[c] * x[c] = -s exactly
+                    a = row[c]
+                    g = gcd(a, s)
+                    if a != g:
+                        m = a // g
+                        x = [m * y for y in x]
+                    x[c] = -s // g
+            g = gcd(*x)
+            if x[f] < 0:
+                g = -g
+            basis.append(tuple(x) if g == 1 else tuple(y // g for y in x))
+        return basis
+
+
+def _echelon(rows: tuple[Vector, ...], width: int) -> Echelon:
+    e = Echelon(width)
+    for row in rows:
+        e.add(row)
+    return e
+
+
 def rank_rational(matrix: IntMatrix | Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals via fraction-free Bareiss elimination."""
+    """Rank over the rationals."""
     rows = matrix.entries if isinstance(matrix, IntMatrix) else _as_int_rows(matrix)
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    rank = 0
-    prev = 1
-    while rank < m and rank < n:
-        # Pivot on the largest-magnitude entry of the remaining block.
-        best = None
-        best_abs = 0
-        for i in range(rank, m):
-            for j in range(rank, n):
-                v = abs(a[i][j])
-                if v > best_abs:
-                    best_abs = v
-                    best = (i, j)
-        if best is None or best_abs == 0:
-            break
-        pi, pj = best
-        if pi != rank:
-            a[pi], a[rank] = a[rank], a[pi]
-        if pj != rank:
-            for row in a:
-                row[pj], row[rank] = row[rank], row[pj]
-        pivot = a[rank][rank]
-        for i in range(rank + 1, m):
-            for j in range(rank + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][rank] * a[rank][j]) // prev
-            a[i][rank] = 0
-        prev = pivot
-        rank += 1
-    return rank
+    return _echelon(rows, len(rows[0])).rank if rows else 0
 
 
 def _swap_rows(a, u, i, j):
@@ -206,8 +269,8 @@ def smith_normal_form(matrix: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
     """Smith normal form with unimodular transforms.
 
     Returns U, D, V with U * M * V = D, diagonal nonnegative and each entry
-    dividing the next.  The identity is re-verified by exact multiplication
-    whenever assertions are enabled.
+    dividing the next.  The identity is re-verified by exact multiplication;
+    a failed re-check raises ``InvariantViolation``.
     """
     rows = matrix.entries if isinstance(matrix, IntMatrix) else _as_int_rows(matrix)
     a = [list(r) for r in rows]
@@ -288,7 +351,8 @@ def smith_normal_form(matrix: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
         t += 1
 
     result = SNFResult(U=IntMatrix.from_rows(u), D=IntMatrix.from_rows(a), V=IntMatrix.from_rows(v))
-    assert _snf_consistent(rows, result), "Smith decomposition failed exact re-check"
+    if not _snf_consistent(rows, result):
+        raise InvariantViolation("Smith decomposition failed exact re-check")
     return result
 
 
@@ -315,10 +379,8 @@ def affine_span_dim(points: Sequence[Sequence[int]]) -> int:
     if not points:
         raise EmptyInput("affine span of an empty point set")
     base = points[0]
-    diffs = [vector_sub(p, base) for p in points[1:]]
-    if not diffs:
-        return 0
-    return rank_rational(diffs)
+    diffs = _as_int_rows(vector_sub(p, base) for p in points[1:])
+    return _echelon(diffs, len(diffs[0])).rank if diffs else 0
 
 
 def in_row_space(
@@ -336,8 +398,7 @@ def in_row_space(
     if not rows:
         return False
     if over == "rationals":
-        base = rank_rational(rows)
-        return rank_rational(rows + (v,)) == base
+        return not _echelon(rows, len(v)).add(v)
     if over != "integers":
         raise ValueError(f"unknown coefficient ring {over!r}")
     # x * M = v has an integer solution iff (v * V) is compatible with D.
@@ -357,95 +418,31 @@ def in_row_space(
 def solve_rational(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...]:
     """Unique rational solution of a square integer system; raises SingularMatrix.
 
-    Fraction-free Gauss-Jordan elimination on the augmented matrix, pivoting
-    on the first nonzero entry of each column: every pivot entry ends equal
-    to the final pivot ``p``, so the solution is ``a[i][n] / p`` and the only
-    rational arithmetic is that last division.
+    The augmented matrix ``[A | b]`` of a nonsingular ``A`` has pivots on
+    every column of ``A``, so its kernel is spanned by one vector ``(x, t)``
+    with ``t > 0`` and ``A x = -t b``; the solution is ``-x / t``.
     """
-    a = [list(_int_vector(row)) + [_exact_int(y)] for row, y in zip(matrix, rhs)]
-    n = len(a)
-    if any(len(row) != n + 1 for row in a):
+    rows = tuple(_int_vector(row) + (_exact_int(y),) for row, y in zip(matrix, rhs))
+    n = len(rows)
+    if any(len(row) != n + 1 for row in rows):
         raise DimensionMismatch("solve_rational expects a square matrix")
-    prev = 1
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise SingularMatrix("matrix is singular over the rationals")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        row_c = a[col]
-        pivot = row_c[col]
-        for i in range(n):
-            if i == col:
-                continue
-            row_i = a[i]
-            ai_col = row_i[col]
-            for j in range(n + 1):
-                if j != col:
-                    row_i[j] = (row_i[j] * pivot - ai_col * row_c[j]) // prev
-            row_i[col] = 0
-        prev = pivot
-    return tuple(Fraction(row[n], prev) for row in a)
+    e = _echelon(rows, n + 1)
+    if e.rank < n or n in e.pivots:
+        raise SingularMatrix("matrix is singular over the rationals")
+    (x,) = e.kernel()
+    return tuple(Fraction(-y, x[n]) for y in x[:n])
 
 
 def rational_kernel_basis(rows: Sequence[Sequence[int]], width: int | None = None) -> list[Vector]:
     """Primitive integer vectors spanning {x : M x = 0} over the rationals.
 
-    Fraction-free Gauss-Jordan elimination: after two-sided Bareiss
-    elimination every pivot entry equals the final pivot, so kernel vectors
-    can be read off with pure integer arithmetic.
+    The basis is the one Gauss-Jordan elimination gives (see
+    ``Echelon.kernel``), so it depends only on the row space of ``M``.
     ``width`` must be given when ``rows`` is empty (kernel = whole space).
     """
     rows = _as_int_rows(rows)
     if not rows:
         if width is None:
             raise EmptyInput("kernel of an empty matrix needs an explicit width")
-        return [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
-    n = len(rows[0])
-    a = [list(r) for r in rows]
-    m = len(a)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][col]
-        for i in range(m):
-            if i == r:
-                continue
-            ai_col = a[i][col]
-            row_i = a[i]
-            row_r = a[r]
-            for j in range(n):
-                if j != col:
-                    row_i[j] = (row_i[j] * pivot - ai_col * row_r[j]) // prev
-            row_i[col] = 0
-        prev = pivot
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        vec = [0] * n
-        vec[f] = prev
-        for i, p in enumerate(pivots):
-            vec[p] = -a[i][f]
-        if prev < 0:
-            vec = [-x for x in vec]
-        basis.append(primitive(vec))
-    return basis
+        return Echelon(width).kernel()
+    return _echelon(rows, len(rows[0])).kernel()

@@ -37,7 +37,7 @@ from .errors import (
     NotHomogeneous,
     ParseError,
 )
-from .linalg import _int_vector, affine_span_dim, vector_sub
+from .linalg import _int_vector, affine_span_dim
 
 Row = tuple[int, ...]
 
@@ -96,14 +96,10 @@ def monomial_system(
                 f"monomials {seen[r] + 1} and {i + 1} are identical"
             )
         seen[r] = i
-    base = exps[0]
-    grading = ambient.grading
     for i, other in enumerate(exps[1:], start=1):
-        diff = vector_sub(other, base)
-        free = tuple(sum(a * b for a, b in zip(row, diff)) for row in grading.free_part.entries)
-        tors = tuple(sum(a * b for a, b in zip(w, diff)) % q for q, w in grading.torsion)
-        if any(free) or any(tors):
-            raise NotHomogeneous(0, i, free + tors)
+        diff = ambient.grading.degree_difference(exps[0], other)
+        if any(diff):
+            raise NotHomogeneous(0, i, diff)
     if affine_span_dim(exps) == len(exps) - 1:
         # Affinely independent rows are all vertices of their hull.
         vertex_rows = tuple(range(len(exps)))
@@ -111,11 +107,6 @@ def monomial_system(
         vertex_set = set(_poly.hull(exps).vertices)
         vertex_rows = tuple(i for i, r in enumerate(exps) if r in vertex_set)
     return MonomialSystem(ambient=ambient, exponents=exps, vertex_rows=vertex_rows)
-
-
-def newton_vertices(sys: MonomialSystem) -> tuple[int, ...]:
-    """Indices of the rows that are vertices of the Newton polytope."""
-    return sys.vertex_rows
 
 
 def newton_polytope(sys: MonomialSystem) -> _poly.LatticePolytope:
@@ -280,20 +271,6 @@ def m_gamma(
         if sum(sys.exponents[i][j] for j in gs) == 1
         and all(sys.exponents[i][j] == 0 for j in rest)
     )
-
-
-def m_gamma_unrestricted(sys: MonomialSystem, gamma: Iterable[int]) -> list[Row]:
-    """Literal reading: all Newton-polytope lattice points with gamma-sum 1.
-
-    No vanishing condition outside gamma is imposed and interior lattice
-    points count; exposed for comparing the two readings.  Enumerates the
-    lattice points of the Newton polytope, so keep inputs small.
-    """
-    gs = tuple(sorted(set(gamma)))
-    if not gs:
-        raise EmptyGamma("gamma must be nonempty")
-    delta = newton_polytope(sys)
-    return [p for p in _poly.lattice_points(delta) if sum(p[j] for j in gs) == 1]
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from .errors import (
     ParseError,
 )
 from .linalg import (
+    Echelon,
     _int_vector,
     dot,
-    gcd_vector,
     primitive,
     rational_kernel_basis,
     vector_sub,
@@ -138,40 +138,26 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _echelon_add(echelon: list, v: Sequence[int]) -> bool:
-    """Reduce ``v`` by the rows of ``echelon``; append it if it stays nonzero.
-
-    ``echelon`` holds ``(pivot column, primitive row)`` pairs, each row zero
-    at the pivot columns of the rows before it, so the rows stay linearly
-    independent and fraction-free.
-    """
-    for c, row in echelon:
-        if v[c]:
-            a, b = row[c], v[c]
-            v = [a * x - b * y for x, y in zip(v, row)]
-    for c, x in enumerate(v):
-        if x:
-            echelon.append((c, primitive(v)))
-            return True
-    return False
-
-
-def _affine_basis(pts: Sequence[tuple[int, ...]], mask: int, size: int) -> list[int]:
+def _affine_basis(
+    pts: Sequence[tuple[int, ...]], mask: int, size: int
+) -> tuple[list[int], Echelon]:
     """Greedy affinely independent subset of the points in ``mask``.
 
     Scans the indices in increasing order and keeps each point that is
     affinely independent of those kept, stopping at ``size`` points.
     Affine independence is a matroid, so when ``size`` is the affine rank
-    plus one this is the lexicographically first basis of the set.
+    plus one this is the lexicographically first basis of the set.  Also
+    returns the echelon of the differences of the kept points from the
+    first one, whose kernel holds the normals of their affine hull.
     """
     chosen: list[int] = []
-    echelon: list = []
+    echelon = Echelon(len(pts[0]))
     for i in _bits(mask):
         if len(chosen) == size:
             break
-        if not chosen or _echelon_add(echelon, vector_sub(pts[i], pts[chosen[0]])):
+        if not chosen or echelon.add(vector_sub(pts[i], pts[chosen[0]])):
             chosen.append(i)
-    return chosen
+    return chosen, echelon
 
 
 def _facet_masks(pts: list[tuple[int, ...]], dim: int) -> list[int]:
@@ -184,31 +170,33 @@ def _facet_masks(pts: list[tuple[int, ...]], dim: int) -> list[int]:
     joins every facet whose hyperplane it lies on; the facets it sees
     (strictly beyond) are replaced by one facet through the point for each
     horizon ridge, i.e. each ridge shared with a facet the point is
-    strictly beneath.  New facets on the same hyperplane merge.
+    strictly beneath.  New facets on the same hyperplane merge.  A new
+    facet's normal is read off the echelon that ``_affine_basis`` built to
+    test the ridge's rank, after one more row for the new point, so no
+    kernel is computed from scratch.
     """
-    simplex = _affine_basis(pts, (1 << len(pts)) - 1, dim + 1)
+    simplex, _ = _affine_basis(pts, (1 << len(pts)) - 1, dim + 1)
     # (dim + 1) times the simplex centroid, strictly inside every later hull
     inner = tuple(sum(col) for col in zip(*(pts[i] for i in simplex)))
 
-    def plane(ids: list[int]) -> tuple[tuple[int, ...], int]:
-        p0 = pts[ids[0]]
-        (normal,) = rational_kernel_basis(
-            [vector_sub(pts[i], p0) for i in ids[1:]], width=dim
-        )
-        offset = dot(normal, p0)
+    def plane(echelon: Echelon, p: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """Inner normal and offset of the hyperplane through ``p`` along ``echelon``."""
+        (normal,) = echelon.kernel()
+        offset = dot(normal, p)
         if dot(normal, inner) < (dim + 1) * offset:
             return tuple(-x for x in normal), -offset
         return normal, offset
 
     facets: dict[tuple[tuple[int, ...], int], int] = {}
+    simplex_mask = sum(1 << i for i in simplex)
     for skip in simplex:
-        ids = [i for i in simplex if i != skip]
-        facets[plane(ids)] = sum(1 << i for i in ids)
-    in_simplex = set(simplex)
+        mask = simplex_mask ^ 1 << skip
+        ids, echelon = _affine_basis(pts, mask, dim)
+        facets[plane(echelon, pts[ids[0]])] = mask
     for q, x in enumerate(pts):
-        if q in in_simplex:
-            continue
         bit = 1 << q
+        if simplex_mask & bit:
+            continue
         visible = []
         kept = {}
         for key, mask in facets.items():
@@ -225,9 +213,11 @@ def _facet_masks(pts: list[tuple[int, ...]], dim: int) -> list[int]:
                     ridge = vis & other
                     if ridge.bit_count() < dim - 1:
                         continue
-                    ids = _affine_basis(pts, ridge, dim - 1)
+                    ids, echelon = _affine_basis(pts, ridge, dim - 1)
                     if len(ids) == dim - 1:
-                        key = plane(ids + [q])
+                        if ids:  # a ridge of a one-dimensional hull is empty
+                            echelon.add(vector_sub(x, pts[ids[0]]))
+                        key = plane(echelon, x)
                         new[key] = new.get(key, 0) | ridge | bit
             kept.update(new)
         facets = kept
@@ -237,51 +227,43 @@ def _facet_masks(pts: list[tuple[int, ...]], dim: int) -> list[int]:
 def _int_hull_data(pts: list[tuple[int, ...]]):
     """Facets, equations and vertex flags for the hull of integer points.
 
-    The facets come from ``_facet_masks`` on the core points (those that
-    are not midpoints of two others) written in ``dim`` pivot coordinates
-    of their affine hull.  They are listed in the order of the
+    One echelon of the differences ``p - pts[0]`` gives the dimension, the
+    equations of the affine hull (its kernel) and ``dim`` pivot coordinates
+    on which the hull projects one-to-one.  The facets come from
+    ``_facet_masks`` on the core points (those that are not midpoints of
+    two others) in those coordinates.  They are listed in the order of the
     lexicographically first affinely independent ``dim``-subset of their
     support, and each normal is the first vector of the kernel of that
-    subset that does not vanish on the affine hull, with its sign fixed so
-    that the hull lies on the nonnegative side, reduced by its gcd.  A core
+    subset that does not vanish on the affine hull (a primitive vector),
+    with its sign fixed so that the hull lies on the nonnegative side.  A core
     point is a vertex when the facets through it meet in that point alone.
     """
     n = len(pts[0])
     base = pts[0]
-    diffs = [vector_sub(p, base) for p in pts[1:]]
-    # ``span`` is a basis of the directions of the affine hull; its pivot
-    # columns are coordinates on which the hull projects one-to-one.
-    span: list = []
-    for d in diffs:
-        _echelon_add(span, d)
-    dim = len(span)
-
-    eq_normals = rational_kernel_basis(diffs, width=n) if dim < n else []
-    equations = [Equation(tuple(nv), dot(nv, base)) for nv in eq_normals]
+    span = Echelon(n)
+    for p in pts[1:]:
+        span.add(vector_sub(p, base))
+    dim = span.rank
+    equations = [Equation(nv, dot(nv, base)) for nv in span.kernel()]
     if dim == 0:
         return dim, [], equations, [n > 0]
 
-    cols = [c for c, _ in span]
     core = _drop_midpoints(pts)
-    proj = [tuple(p[j] for j in cols) for p in core]
+    proj = [tuple(p[j] for j in span.pivots) for p in core]
     masks = _facet_masks(proj, dim)
 
     facets: list[Facet] = []
-    for basis, mask in sorted((_affine_basis(proj, m, dim), m) for m in masks):
+    for basis, mask in sorted((_affine_basis(proj, m, dim)[0], m) for m in masks):
         s0 = core[basis[0]]
         kernel = rational_kernel_basis(
             [vector_sub(core[i], s0) for i in basis[1:]], width=n
         )
-        normal = next(v for v in kernel if any(dot(v, row) for _, row in span))
+        normal = next(v for v in kernel if any(dot(v, row) for _, row in span.rows))
         pivot = dot(normal, s0)
         off = next(i for i in range(len(core)) if not mask >> i & 1)
         if dot(normal, core[off]) < pivot:
             normal = tuple(-x for x in normal)
             pivot = -pivot
-        g = gcd_vector(normal)
-        if g > 1:
-            normal = tuple(x // g for x in normal)
-            pivot = pivot // g
         facets.append(Facet(normal, pivot))
 
     meet = [(1 << len(core)) - 1] * len(core)

@@ -32,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     GeneratorInBasis,
     MethodDisagreement,
-    NotBaseStratum,
 )
 from .linalg import affine_span_dim, rank_rational, vector_sub
 
@@ -92,13 +91,6 @@ def _gamma_ranks(sys: _linsys.MonomialSystem, rows: Sequence[int], gamma: Sequen
     return small, big
 
 
-def _require_stratum(sys, c) -> tuple[int, ...]:
-    cs = tuple(sorted(set(c)))
-    if not _linsys.is_base_stratum(sys, cs):
-        raise NotBaseStratum(f"{cs} is not a base-locus stratum")
-    return cs
-
-
 def _stratum_data(sys, c):
     """Variables and face supports of a stratum.
 
@@ -107,8 +99,8 @@ def _stratum_data(sys, c):
     """
     if isinstance(c, _linsys.BaseStratum):
         return c.variables, dict(c.face_supports)
-    cs = _require_stratum(sys, c)
-    return cs, dict(_linsys._face_supports_for(sys, cs))
+    cs = tuple(sorted(set(c)))
+    return cs, _linsys.face_supports(sys, cs)
 
 
 def _m_gamma(supports, gamma: Sequence[int]) -> tuple[int, ...]:
@@ -117,19 +109,12 @@ def _m_gamma(supports, gamma: Sequence[int]) -> tuple[int, ...]:
 
 
 def check_stratum_rank(
-    sys: _linsys.MonomialSystem,
-    c: Iterable[int],
-    restricted: bool = True,
+    sys: _linsys.MonomialSystem, c: Iterable[int]
 ) -> StratumWitness | StratumFailure:
     """Rank test for one stratum.
 
     ``c`` is a ``BaseStratum`` or an iterable of variables (validated).
-    With ``restricted=False`` the coordinate-sum slice is taken over all
-    lattice points of the Newton polytope with no vanishing condition
-    outside gamma (the literal reading, exposed for comparison).
     """
-    if not restricted:
-        return _check_rank_unrestricted(sys, _require_stratum(sys, c))
     cs, supports = _stratum_data(sys, c)
     candidates = [rho for rho in cs if supports[rho]]
     if not candidates:
@@ -139,25 +124,6 @@ def check_stratum_rank(
             small, big = _gamma_ranks(sys, _m_gamma(supports, gamma), gamma)
             if 2 * small > big:
                 return StratumWitness(cs, gamma, len(gamma), small, big)
-    return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
-
-
-def _check_rank_unrestricted(sys, cs: tuple[int, ...]) -> StratumWitness | StratumFailure:
-    # literal reading: any nonempty subset of the stratum may carry a
-    # nonempty lattice-point slice, with no vanishing condition outside
-    some_slice_nonempty = False
-    for size in range(1, len(cs) + 1):
-        for gamma in itertools.combinations(cs, size):
-            points = _linsys.m_gamma_unrestricted(sys, gamma)
-            if not points:
-                continue
-            small = rank_rational([tuple(p[j] for j in gamma) for p in points])
-            big = rank_rational(points)
-            some_slice_nonempty = True
-            if 2 * small > big:
-                return StratumWitness(cs, gamma, len(gamma), small, big)
-    if not some_slice_nonempty:
-        return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
     return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
 
 
@@ -171,6 +137,12 @@ def check_stratum_polytope(
     dimensions.  Base points are the lexicographically smallest supporting
     rows; the span dimension does not depend on that choice.  ``c`` is a
     ``BaseStratum`` or an iterable of variables (validated).
+
+    The witness ranks need no elimination of their own.  A row of
+    ``M_gamma`` that supports the face rho is the unit vector e_rho on C.
+    On the gamma columns every face of gamma contributes e_rho, so
+    ``rank_small = |gamma|``; the base rows stay independent on C while
+    every translate vanishes there, so ``rank_big = |gamma| + span``.
     """
     cs, supports = _stratum_data(sys, c)
     translated = {}
@@ -185,9 +157,9 @@ def check_stratum_polytope(
     for size in range(1, len(support_vars) + 1):
         for gamma in itertools.combinations(support_vars, size):
             span = affine_span_dim([p for rho in gamma for p in translated[rho]])
-            if len(gamma) > span:
-                small, big = _gamma_ranks(sys, _m_gamma(supports, gamma), gamma)
-                return StratumWitness(cs, gamma, len(gamma), small, big)
+            k = len(gamma)
+            if k > span:
+                return StratumWitness(cs, gamma, k, k, k + span)
     return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
 
 
@@ -203,13 +175,7 @@ def _check_one(sys, method: Method, c) -> StratumWitness | StratumFailure:
         return check_stratum_polytope(sys, c)
     rank_res = check_stratum_rank(sys, c)
     poly_res = check_stratum_polytope(sys, c)
-    if type(rank_res) is not type(poly_res) or (
-        isinstance(rank_res, StratumWitness)
-        and rank_res.gamma != poly_res.gamma
-    ) or (
-        isinstance(rank_res, StratumFailure)
-        and rank_res.reason != poly_res.reason
-    ):
+    if rank_res != poly_res:
         raise MethodDisagreement(c, rank_res, poly_res)
     return rank_res
 
@@ -285,6 +251,17 @@ def _require_fan(sys: _linsys.MonomialSystem, rank: int, simplicial: bool) -> No
         raise DimensionMismatch("fan is not simplicial")
 
 
+def _one_variable_failure(vertex_exps, i: int) -> FailureReason | None:
+    """Why the stratum {x_i} fails, or None: it needs exactly one monomial
+    with exponent 1 in x_i."""
+    count = sum(1 for row in vertex_exps if row[i] == 1)
+    if count == 1:
+        return None
+    if count == 0:
+        return FailureReason.ALL_FACES_EMPTY
+    return FailureReason.NO_DEGENERATE_SUBCOLLECTION
+
+
 def check_curve_on_surface(sys: _linsys.MonomialSystem) -> QSVerdict:
     """Closed-form verdict for curves on a complete toric surface.
 
@@ -297,15 +274,9 @@ def check_curve_on_surface(sys: _linsys.MonomialSystem) -> QSVerdict:
     for st in _linsys.base_locus_strata(sys):
         c = st.variables
         if len(c) == 1:
-            (i,) = c
-            count = sum(1 for row in vertex_exps if row[i] == 1)
-            if count == 1:
+            reason = _one_variable_failure(vertex_exps, c[0])
+            if reason is None:
                 continue
-            reason = (
-                FailureReason.ALL_FACES_EMPTY
-                if count == 0
-                else FailureReason.NO_DEGENERATE_SUBCOLLECTION
-            )
             return QSVerdict(False, Method.CURVE, failure=StratumFailure(c, reason))
         i, j = c
         if any(row[i] + row[j] == 1 for row in vertex_exps):
@@ -331,15 +302,9 @@ def check_surface_on_threefold(sys: _linsys.MonomialSystem) -> QSVerdict:
     for st in _linsys.base_locus_strata(sys):
         c = st.variables
         if len(c) == 1:
-            (i,) = c
-            count = sum(1 for row in vertex_exps if row[i] == 1)
-            if count == 1:
+            reason = _one_variable_failure(vertex_exps, c[0])
+            if reason is None:
                 continue
-            reason = (
-                FailureReason.ALL_FACES_EMPTY
-                if count == 0
-                else FailureReason.NO_DEGENERATE_SUBCOLLECTION
-            )
             return QSVerdict(False, Method.SURFACE, failure=StratumFailure(c, reason))
         if len(c) == 2:
             i, j = c

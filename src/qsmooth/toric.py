@@ -37,6 +37,8 @@ from .errors import (
 )
 from .linalg import (
     IntMatrix,
+    _exact_int,
+    _int_vector,
     dot,
     gcd_vector,
     in_row_space,
@@ -55,7 +57,7 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
+        rays = tuple(_int_vector(r) for r in self.rays)
         for r in rays:
             if len(r) != self.lattice_rank:
                 raise DimensionMismatch("ray length does not match lattice rank")
@@ -64,7 +66,7 @@ class Fan:
         if len(set(rays)) != len(rays):
             raise ValueError("duplicate rays")
         cones = tuple(
-            dict.fromkeys(tuple(sorted(set(int(i) for i in c))) for c in self.max_cones)
+            dict.fromkeys(tuple(sorted(set(_int_vector(c)))) for c in self.max_cones)
         )
         for c in cones:
             if not c or c[0] < 0 or c[-1] >= len(rays):
@@ -90,9 +92,10 @@ class Grading:
     def __post_init__(self):
         reduced = []
         for q, weights in self.torsion:
+            q = _exact_int(q)
             if q < 2:
                 raise ValueError("torsion modulus must be at least 2")
-            reduced.append((int(q), tuple(int(w) % q for w in weights)))
+            reduced.append((q, tuple(w % q for w in _int_vector(weights))))
         object.__setattr__(self, "torsion", tuple(reduced))
 
     @property
@@ -107,6 +110,11 @@ class Grading:
         free = tuple(dot(row, exponent) for row in self.free_part.entries)
         tors = tuple(dot(w, exponent) % q for q, w in self.torsion)
         return free, tors
+
+    def degree_difference(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        """Free and torsion degree of ``b - a``; all zero iff a and b share a degree."""
+        free, tors = self.degree_of(vector_sub(b, a))
+        return free + tors
 
 
 def class_group(fan: Fan) -> Grading:
@@ -297,7 +305,7 @@ def stratum_image_dim(ambient: ToricAmbient, c: Iterable[int], w=None) -> int:
     mat = [tuple(row[j] for j in cols) for row in free.entries]
     rank = rank_rational(mat) if mat else 0
     if w is not None:
-        w_free = tuple(int(x) for x in w)
+        w_free = _int_vector(w)
         if len(w_free) != free.rows:
             raise DimensionMismatch("degree length does not match the free rank")
         augmented = [row + (val,) for row, val in zip(mat, w_free)]
@@ -323,19 +331,12 @@ def is_homogeneous(ambient: ToricAmbient, exponents: Sequence[Sequence[int]]) ->
     base = exponents[0]
     if any(len(e) != ambient.num_vars for e in exponents):
         raise DimensionMismatch("exponent length does not match variable count")
-    grading = ambient.grading
-    for other in exponents[1:]:
-        diff = vector_sub(other, base)
-        if any(dot(row, diff) != 0 for row in grading.free_part.entries):
-            return False
-        if any(dot(wt, diff) % q != 0 for q, wt in grading.torsion):
-            return False
-    return True
+    return not any(any(ambient.grading.degree_difference(base, e)) for e in exponents[1:])
 
 
 def make_wps(weights: Sequence[int], torsion=()) -> ToricAmbient:
     """Weighted projective ambient in quotient presentation."""
-    w = tuple(int(x) for x in weights)
+    w = _int_vector(weights)
     if not w or any(x <= 0 for x in w):
         raise ValueError("weights must be positive integers")
     grading = Grading(IntMatrix.from_rows([w]), tuple(torsion))

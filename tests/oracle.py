@@ -2,24 +2,29 @@
 
 Convex-hull membership and interior tests are done with a small two-phase
 simplex over Fractions (Bland's rule, so it always terminates), with no
-code shared with the package's facet machinery.
+code shared with the package's facet machinery.  The package's former
+elimination routines (full-pivot Bareiss rank, fraction-free Gauss-Jordan
+kernel and solve) live here too, so that ``linalg.Echelon`` and the hull
+built on it are checked against code they do not share.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from itertools import product
+from math import gcd
 
-from qsmooth.errors import DimensionMismatch, SingularMatrix
-from qsmooth.linalg import (
-    dot,
-    gcd_vector,
-    rank_rational,
-    rational_kernel_basis,
-    vector_sub,
+from qsmooth.errors import (
+    DimensionMismatch,
+    EmptyGamma,
+    EmptyInput,
+    NotBaseStratum,
+    SingularMatrix,
 )
-from qsmooth.linsys import BaseStratum
-from qsmooth.polytope import Equation, Facet, _drop_midpoints
+from qsmooth.linalg import dot, gcd_vector, vector_sub
+from qsmooth.linsys import BaseStratum, is_base_stratum, newton_polytope
+from qsmooth.polytope import Equation, Facet, _drop_midpoints, lattice_points
+from qsmooth.qscheck import FailureReason, StratumFailure, StratumWitness
 from qsmooth.toric import relevant_subsets
 
 
@@ -181,7 +186,7 @@ def interior_lattice_points_bruteforce(points) -> list[tuple[int, ...]]:
     lows = [min(int(p[j]) for p in points) for j in range(n)]
     highs = [max(int(p[j]) for p in points) for j in range(n)]
     out = []
-    for cand in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
+    for cand in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
         if in_interior(points, cand):
             out.append(cand)
     return out
@@ -236,6 +241,176 @@ def solve_fraction(matrix, rhs) -> tuple[Fraction, ...]:
     return tuple(row[n] for row in a)
 
 
+def rank_bareiss(rows) -> int:
+    """Rank over the rationals by fraction-free Bareiss elimination.
+
+    This is the package's former ``linalg.rank_rational``: it pivots on the
+    entry of largest magnitude in the remaining block.
+    """
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    rank = 0
+    prev = 1
+    while rank < m and rank < n:
+        best = None
+        best_abs = 0
+        for i in range(rank, m):
+            for j in range(rank, n):
+                v = abs(a[i][j])
+                if v > best_abs:
+                    best_abs = v
+                    best = (i, j)
+        if best is None:
+            break
+        pi, pj = best
+        if pi != rank:
+            a[pi], a[rank] = a[rank], a[pi]
+        if pj != rank:
+            for row in a:
+                row[pj], row[rank] = row[rank], row[pj]
+        pivot = a[rank][rank]
+        for i in range(rank + 1, m):
+            for j in range(rank + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][rank] * a[rank][j]) // prev
+            a[i][rank] = 0
+        prev = pivot
+        rank += 1
+    return rank
+
+
+def affine_span_dim_bareiss(points) -> int:
+    """The package's former ``linalg.affine_span_dim``, on ``rank_bareiss``."""
+    if not points:
+        raise EmptyInput("affine span of an empty point set")
+    diffs = [vector_sub(p, points[0]) for p in points[1:]]
+    return rank_bareiss(diffs) if diffs else 0
+
+
+def kernel_gauss_jordan(rows, width=None) -> list[tuple[int, ...]]:
+    """Primitive kernel basis by fraction-free Gauss-Jordan elimination.
+
+    This is the package's former ``linalg.rational_kernel_basis``: after
+    two-sided Bareiss elimination every pivot entry equals the final pivot,
+    so each free column's vector is read off in integers.
+    """
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        if width is None:
+            raise EmptyInput("kernel of an empty matrix needs an explicit width")
+        return [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
+    n = len(rows[0])
+    a = [list(r) for r in rows]
+    m = len(a)
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, m) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        pivot = a[r][col]
+        for i in range(m):
+            if i == r:
+                continue
+            ai_col = a[i][col]
+            for j in range(n):
+                if j != col:
+                    a[i][j] = (a[i][j] * pivot - ai_col * a[r][j]) // prev
+            a[i][col] = 0
+        prev = pivot
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        vec = [0] * n
+        vec[f] = prev
+        for i, p in enumerate(pivots):
+            vec[p] = -a[i][f]
+        if prev < 0:
+            vec = [-x for x in vec]
+        g = 0
+        for x in vec:
+            g = gcd(g, x)
+        basis.append(tuple(x // g for x in vec))
+    return basis
+
+
+def solve_gauss_jordan(matrix, rhs) -> tuple[Fraction, ...]:
+    """Unique solution of a square system by fraction-free Gauss-Jordan.
+
+    This is the package's former ``linalg.solve_rational``: every pivot
+    entry ends equal to the final pivot ``p``, so the solution is
+    ``a[i][n] / p``.
+    """
+    a = [list(row) + [y] for row, y in zip(matrix, rhs)]
+    n = len(a)
+    if any(len(row) != n + 1 for row in a):
+        raise DimensionMismatch("solve_gauss_jordan expects a square matrix")
+    prev = 1
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if a[i][col]), None)
+        if pivot_row is None:
+            raise SingularMatrix("matrix is singular over the rationals")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        pivot = a[col][col]
+        for i in range(n):
+            if i == col:
+                continue
+            ai_col = a[i][col]
+            for j in range(n + 1):
+                if j != col:
+                    a[i][j] = (a[i][j] * pivot - ai_col * a[col][j]) // prev
+            a[i][col] = 0
+        prev = pivot
+    return tuple(Fraction(row[n], prev) for row in a)
+
+
+def m_gamma_unrestricted(sys, gamma) -> list[tuple[int, ...]]:
+    """Literal reading: all Newton-polytope lattice points with gamma-sum 1.
+
+    No vanishing condition outside gamma is imposed and interior lattice
+    points count.  Enumerates the lattice points of the Newton polytope, so
+    keep inputs small.
+    """
+    gs = tuple(sorted(set(gamma)))
+    if not gs:
+        raise EmptyGamma("gamma must be nonempty")
+    delta = newton_polytope(sys)
+    return [p for p in lattice_points(delta) if sum(p[j] for j in gs) == 1]
+
+
+def check_stratum_rank_unrestricted(sys, c):
+    """Rank test on the literal reading of the coordinate-sum slice.
+
+    Any nonempty subset of the stratum may carry a nonempty slice of
+    ``m_gamma_unrestricted``, with no vanishing condition outside gamma;
+    kept to compare the literal reading with the package's restricted one.
+    """
+    cs = tuple(sorted(set(c)))
+    if not is_base_stratum(sys, cs):
+        raise NotBaseStratum(f"{cs} is not a base-locus stratum")
+    some_slice_nonempty = False
+    for size in range(1, len(cs) + 1):
+        for gamma in itertools.combinations(cs, size):
+            points = m_gamma_unrestricted(sys, gamma)
+            if not points:
+                continue
+            small = rank_bareiss([tuple(p[j] for j in gamma) for p in points])
+            big = rank_bareiss(points)
+            some_slice_nonempty = True
+            if 2 * small > big:
+                return StratumWitness(cs, gamma, len(gamma), small, big)
+    if not some_slice_nonempty:
+        return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
+    return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
+
+
 def base_locus_strata_scan(sys) -> list[BaseStratum]:
     """Base strata by scanning every relevant subset and filtering it.
 
@@ -276,30 +451,28 @@ def int_hull_data_exhaustive(pts):
     facet the first time its support appears.  A point is a vertex when the
     normals of the facets and equations through it have full rank.
     """
-    from itertools import combinations
-
     n = len(pts[0])
     base = pts[0]
     diffs = [vector_sub(p, base) for p in pts[1:]]
-    dim = rank_rational(diffs) if diffs else 0
+    dim = rank_bareiss(diffs)
 
-    eq_normals = rational_kernel_basis(diffs, width=n) if dim < n else []
+    eq_normals = kernel_gauss_jordan(diffs, width=n) if dim < n else []
     equations = [Equation(tuple(nv), dot(nv, base)) for nv in eq_normals]
 
     facets = []
     seen_supports = set()
-    eq_rank = rank_rational(eq_normals) if eq_normals else 0
+    eq_rank = rank_bareiss(eq_normals)
     core = _drop_midpoints(pts)
     if dim >= 1:
-        for subset in combinations(range(len(core)), dim):
+        for subset in itertools.combinations(range(len(core)), dim):
             s0 = core[subset[0]]
             sub_diffs = [vector_sub(core[i], s0) for i in subset[1:]]
-            if sub_diffs and rank_rational(sub_diffs) != dim - 1:
+            if sub_diffs and rank_bareiss(sub_diffs) != dim - 1:
                 continue
-            kernel = rational_kernel_basis(sub_diffs, width=n)
+            kernel = kernel_gauss_jordan(sub_diffs, width=n)
             normal = None
             for cand in kernel:
-                if rank_rational(eq_normals + [cand]) > eq_rank:
+                if rank_bareiss(eq_normals + [cand]) > eq_rank:
                     normal = cand
                     break
             if normal is None:
@@ -328,5 +501,5 @@ def int_hull_data_exhaustive(pts):
     for p in pts:
         tight = [f.normal for f in facets if dot(f.normal, p) == f.offset]
         tight += [eq.normal for eq in equations]
-        vertex_flags.append(bool(tight) and rank_rational(tight) == n)
+        vertex_flags.append(bool(tight) and rank_bareiss(tight) == n)
     return dim, facets, equations, vertex_flags

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from generators import random_atomic_sum, wps_weights_for
 from qsmooth.delsarte import (
+    AtomicType,
     AtomKind,
     classify_atomic,
     format_decomposition,
@@ -14,6 +16,7 @@ from qsmooth.delsarte import (
 from qsmooth.errors import (
     DegreeTooSmall,
     GeneratorInBasis,
+    InvariantViolation,
     NoPositiveSolution,
     NotFakeWPS,
     NotSquare,
@@ -160,6 +163,17 @@ class TestClassifyAtomic:
         with pytest.raises(DegreeTooSmall):
             classify_atomic([(1, 0), (0, 3)], (3, 1))
 
+    @pytest.mark.parametrize("bad", [2.5, Fraction(5, 2), "2"])
+    def test_non_integral_exponent_rejected(self, bad):
+        # int() used to truncate 2.5 to 2, giving two Fermat atoms
+        with pytest.raises(ValueError):
+            classify_atomic([(bad, 0), (0, 2)], (1, 1))
+
+    def test_failed_atom_replay_raises(self, monkeypatch):
+        monkeypatch.setattr(AtomicType, "rows", lambda self, num_vars: [(0,) * num_vars])
+        with pytest.raises(InvariantViolation):
+            classify_atomic([(3, 1), (0, 4)], (1, 1))
+
     def test_enumerated_atomic_sums_decompose(self):
         rng = random.Random(9)
         for _ in range(60):
@@ -203,6 +217,11 @@ class TestTransposeDual:
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrix):
             transpose_dual([(2, 1), (2, 1)], (1, 2), 4)
+
+    def test_non_integral_exponent_rejected(self):
+        # int() used to truncate 2.5 to 2 and return weights (1, 1)
+        with pytest.raises(ValueError):
+            transpose_dual([(2.5, 0), (0, 2)], (1, 1), 2)
 
     def test_no_positive_solution(self):
         # valid weights on one side, sign change after transposition

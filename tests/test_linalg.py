@@ -5,9 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import det_fraction, solve_fraction
-from qsmooth.errors import DimensionMismatch, EmptyInput, SingularMatrix
+import qsmooth.linalg as linalg
+from oracle import (
+    affine_span_dim_bareiss,
+    det_fraction,
+    kernel_gauss_jordan,
+    rank_bareiss,
+    solve_fraction,
+    solve_gauss_jordan,
+)
+from qsmooth.errors import (
+    DimensionMismatch,
+    EmptyInput,
+    InvariantViolation,
+    SingularMatrix,
+)
 from qsmooth.linalg import (
+    Echelon,
     IntMatrix,
     affine_span_dim,
     in_row_space,
@@ -93,6 +107,11 @@ class TestSmithNormalForm:
         res = smith_normal_form(rows)
         assert abs(det_fraction(res.U.entries)) == 1
         assert abs(det_fraction(res.V.entries)) == 1
+
+    def test_failed_recheck_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_snf_consistent", lambda rows, res: False)
+        with pytest.raises(InvariantViolation):
+            smith_normal_form([(2, 0), (0, 3)])
 
 
 class TestAffineSpanDim:
@@ -236,3 +255,94 @@ class TestSolveAndKernel:
             (0, 1, 0),
             (0, 0, 1),
         ]
+
+
+class TestEchelon:
+    def test_add_reports_rank_growth(self):
+        e = Echelon(3)
+        assert e.add((0, 2, 4))
+        assert not e.add((0, 1, 2))
+        assert e.add((1, 1, 1))
+        assert not e.add((0, 0, 0))
+        assert (e.rank, e.pivots) == (2, [1, 0])
+        assert e.kernel() == [(1, -2, 1)]
+
+    def test_full_rank_has_empty_kernel(self):
+        e = Echelon(2)
+        assert e.add((3, 1)) and e.add((1, 3))
+        assert not e.add((7, -5))
+        assert e.kernel() == []
+
+    def test_row_length_checked(self):
+        with pytest.raises(DimensionMismatch):
+            Echelon(2).add((1, 2, 3))
+
+
+def _random_matrix(rng, shape):
+    """A seeded integer matrix of the named shape, as a list of tuples."""
+    m, n = {
+        "wide": (rng.randint(1, 4), rng.randint(5, 9)),
+        "tall": (rng.randint(5, 9), rng.randint(1, 4)),
+        "square": (rng.randint(1, 6),) * 2,
+        "zero": (rng.randint(1, 5), rng.randint(1, 5)),
+    }[shape]
+    bound = rng.choice([1, 3, 10, 10**6])
+    if shape == "zero":
+        return [(0,) * n for _ in range(m)]
+    rows = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(m)]
+    if m > 1 and rng.random() < 0.5:
+        # rank-deficient: replace a row by a combination of two others
+        a, b, c = (rng.randrange(m) for _ in range(3))
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[a] = tuple(x * p + y * q for p, q in zip(rows[b], rows[c]))
+    return rows
+
+
+class TestEchelonDifferential:
+    """The Echelon-backed routines against the package's former ones in ``oracle``."""
+
+    SHAPES = ("wide", "tall", "square", "zero")
+
+    def test_rank_kernel_span_and_row_space(self):
+        rng = random.Random(6_006)
+        deficient = 0
+        for trial in range(2000):
+            rows = _random_matrix(rng, self.SHAPES[trial % 4])
+            rank = rank_rational(rows)
+            assert rank == rank_bareiss(rows)
+            deficient += rank < min(len(rows), len(rows[0]))
+            assert rational_kernel_basis(rows) == kernel_gauss_jordan(rows)
+            assert affine_span_dim(rows) == affine_span_dim_bareiss(rows)
+            v = tuple(rng.randint(-2, 2) for _ in rows[0])
+            if trial % 2:
+                v = tuple(sum(rng.randint(-2, 2) * r[j] for r in rows) for j in range(len(v)))
+            assert in_row_space(v, rows) == (rank_bareiss(rows + [v]) == rank)
+        assert 600 < deficient < 1800
+
+    def test_empty_inputs(self):
+        assert rank_rational([]) == rank_bareiss([]) == 0
+        assert rank_rational([()]) == rank_bareiss([()]) == 0
+        for width in range(4):
+            assert rational_kernel_basis([], width=width) == kernel_gauss_jordan([], width=width)
+        with pytest.raises(EmptyInput):
+            rational_kernel_basis([])
+        assert affine_span_dim([(1, 2)]) == affine_span_dim_bareiss([(1, 2)]) == 0
+
+    def test_solve(self):
+        rng = random.Random(6_007)
+        singular = 0
+        for _ in range(1500):
+            matrix = _random_matrix(rng, "square")
+            rhs = [rng.randint(-9, 9) for _ in matrix]
+            try:
+                expected = solve_gauss_jordan(matrix, rhs)
+            except SingularMatrix:
+                singular += 1
+                with pytest.raises(SingularMatrix):
+                    solve_rational(matrix, rhs)
+                continue
+            assert solve_rational(matrix, rhs) == expected == solve_fraction(matrix, rhs)
+        assert 200 < singular < 1200
+        zero = [(0, 0), (0, 0)]
+        with pytest.raises(SingularMatrix):
+            solve_rational(zero, (1, 1))

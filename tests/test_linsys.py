@@ -12,7 +12,7 @@ from generators import (
     random_product_system,
     wps_weights_for,
 )
-from oracle import base_locus_strata_scan, in_convex_hull
+from oracle import base_locus_strata_scan, in_convex_hull, m_gamma_unrestricted
 from qsmooth.errors import (
     DuplicateMonomial,
     EmptyGamma,
@@ -27,9 +27,7 @@ from qsmooth.linsys import (
     face_supports,
     format_monomials,
     m_gamma,
-    m_gamma_unrestricted,
     monomial_system,
-    newton_vertices,
     parse_monomials_text,
 )
 from qsmooth.linalg import affine_span_dim
@@ -52,15 +50,15 @@ class TestNewtonVertices:
     def test_single_monomial(self):
         amb = ToricAmbient.from_fan(P1_FAN)
         sys_ = monomial_system(amb, [(2, 0)])
-        assert newton_vertices(sys_) == (0,)
+        assert sys_.vertex_rows == (0,)
 
     def test_all_eight_rows_are_vertices(self, product_system):
-        assert newton_vertices(product_system) == tuple(range(8))
+        assert product_system.vertex_rows == tuple(range(8))
 
     def test_midpoint_row_is_not_a_vertex(self):
         amb = ToricAmbient.from_fan(P1_FAN)
         sys_ = monomial_system(amb, [(2, 0), (0, 2), (1, 1)])
-        assert newton_vertices(sys_) == (0, 1)
+        assert sys_.vertex_rows == (0, 1)
 
 
 def _hull_vertex_rows(exps):

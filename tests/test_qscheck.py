@@ -1,10 +1,19 @@
+import dataclasses
 import random
 
 import pytest
 
-from generators import random_fan_system
-from qsmooth.errors import DimensionMismatch, GeneratorInBasis, NotBaseStratum
-from qsmooth.linsys import base_locus_strata, monomial_system
+import qsmooth.qscheck as qscheck
+from generators import random_fan_system, random_product_system
+from oracle import check_stratum_rank_unrestricted
+from qsmooth.errors import (
+    DimensionMismatch,
+    GeneratorInBasis,
+    MethodDisagreement,
+    NotBaseStratum,
+)
+from qsmooth.linalg import rank_rational
+from qsmooth.linsys import base_locus_strata, m_gamma, monomial_system
 from qsmooth.qscheck import (
     has_generator_row,
     FailureReason,
@@ -86,7 +95,7 @@ class TestStratumChecks:
         for sys_ in (product_system, triple_line_system, blowup_system):
             for st in base_locus_strata(sys_):
                 a = check_stratum_rank(sys_, st.variables)
-                b = check_stratum_rank(sys_, st.variables, restricted=False)
+                b = check_stratum_rank_unrestricted(sys_, st.variables)
                 assert isinstance(a, StratumWitness) == isinstance(b, StratumWitness)
 
     def test_unrestricted_variant_overcertifies_empty_faces(self, p4_system):
@@ -95,7 +104,7 @@ class TestStratumChecks:
         # member really is singular; the restricted slice is the faithful
         # reading and stays consistent with the polytope test
         restricted = check_stratum_rank(p4_system, (0, 1, 2))
-        literal = check_stratum_rank(p4_system, (0, 1, 2), restricted=False)
+        literal = check_stratum_rank_unrestricted(p4_system, (0, 1, 2))
         assert restricted == StratumFailure((0, 1, 2), FailureReason.ALL_FACES_EMPTY)
         assert isinstance(literal, StratumWitness)
         assert check_stratum_polytope(p4_system, (0, 1, 2)) == restricted
@@ -234,6 +243,21 @@ class TestMethodAgreement:
             produced += 1
             is_quasismooth(sys_, Method.BOTH)  # raises on disagreement
 
+    def test_whole_witnesses_are_compared(self, product_system, monkeypatch):
+        # a polytope witness with the right gamma but a wrong rank must
+        # still be reported as a disagreement
+        polytope_check = qscheck.check_stratum_polytope
+
+        def skewed(sys_, c):
+            res = polytope_check(sys_, c)
+            if isinstance(res, StratumWitness):
+                return dataclasses.replace(res, rank_big=res.rank_big + 1)
+            return res
+
+        monkeypatch.setattr(qscheck, "check_stratum_polytope", skewed)
+        with pytest.raises(MethodDisagreement):
+            is_quasismooth(product_system, Method.BOTH)
+
     def test_methods_agree_on_non_simplicial_fans(self):
         # normal fans of random canonical polytopes often carry
         # non-simplicial cones; the zero-pattern strata still must let the
@@ -254,6 +278,46 @@ class TestMethodAgreement:
             non_simplicial += not is_simplicial(fan)
             is_quasismooth(sys_, Method.BOTH)  # raises on disagreement
         assert non_simplicial > 0  # the sample included genuine quad cones
+
+
+class TestPolytopeWitnessRanks:
+    """The polytope test's witness ranks come from the identity
+    ``rank_small = k`` and ``rank_big = k + span``; compare them with the
+    ranks of the literal ``M_gamma`` matrices."""
+
+    @staticmethod
+    def _check_system(sys_):
+        witnesses = 0
+        for st in base_locus_strata(sys_):
+            res = check_stratum_polytope(sys_, st)
+            if not isinstance(res, StratumWitness):
+                continue
+            rows = [sys_.exponents[i] for i in m_gamma(sys_, st.variables, res.gamma)]
+            assert res.k == len(res.gamma)
+            assert res.rank_small == rank_rational([tuple(r[j] for j in res.gamma) for r in rows])
+            assert res.rank_big == rank_rational(rows)
+            witnesses += 1
+        return witnesses
+
+    def test_fixtures(
+        self, product_system, triple_line_system, p4_system, blowup_system, dual8_system
+    ):
+        systems = (product_system, triple_line_system, p4_system, blowup_system, dual8_system)
+        assert sum(self._check_system(sys_) for sys_ in systems) > 0
+
+    def test_random_fan_and_product_systems(self):
+        rng = random.Random(6_161)
+        witnesses = produced = 0
+        while produced < 150:
+            out = random_fan_system(rng)
+            if out is None:
+                continue
+            produced += 1
+            witnesses += self._check_system(out[2])
+        for _ in range(60):
+            blocks = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+            witnesses += self._check_system(random_product_system(rng, blocks))
+        assert witnesses > 300
 
 
 class TestTorsionInvariance:

@@ -197,6 +197,12 @@ class TestStratumDimensions:
         with pytest.raises(IrrelevantStratum):
             stratum_image_dim(amb, (0, 1, 2))
 
+    def test_non_integral_degree_rejected(self):
+        amb = make_wps([1, 2, 3, 5])
+        assert stratum_image_dim(amb, (0,), (30.0,)) == 2
+        with pytest.raises(ValueError):
+            stratum_image_dim(amb, (0,), (30.5,))
+
     def test_irrelevant_dim_fake_wps(self):
         amb = make_wps([1, 1, 2])
         for c in [(0,), (0, 1)]:
@@ -253,3 +259,26 @@ class TestAmbientFormat:
         with pytest.raises(ParseError) as err:
             parse_ambient_text("[rays]\n1 zz\n[cones]\n1\n")
         assert ":2:" in str(err.value)
+
+
+class TestNonIntegralInput:
+    """Entry points that used to truncate with int() now reject a fraction."""
+
+    def test_wps_weights(self):
+        # make_wps([1.7, 1, 1]) used to give weights (1, 1, 1)
+        with pytest.raises(ValueError):
+            make_wps([1.7, 1, 1])
+        assert make_wps([2.0, 1, 1]).grading.free_part.entries == ((2, 1, 1),)
+
+    def test_fan_rays_and_cones(self):
+        with pytest.raises(ValueError):
+            Fan(lattice_rank=1, rays=((1.5,), (-1,)), max_cones=((0,), (1,)))
+        with pytest.raises(ValueError):
+            Fan(lattice_rank=1, rays=((1,), (-1,)), max_cones=((0.5,), (1,)))
+
+    def test_torsion_rows(self):
+        free = IntMatrix.from_rows([(1, 1)])
+        with pytest.raises(ValueError):
+            Grading(free, torsion=((2.5, (1, 0)),))
+        with pytest.raises(ValueError):
+            Grading(free, torsion=((2, (1.5, 0)),))
