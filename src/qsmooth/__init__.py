@@ -34,7 +34,7 @@ from .linsys import (
     BaseStratum,
     MonomialSystem,
     base_locus_strata,
-    face_supports,
+    base_stratum,
     load_system,
     m_gamma,
     monomial_system,
@@ -69,7 +69,6 @@ from .qscheck import (
 from .toric import (
     Fan,
     Grading,
-    StratumSet,
     ToricAmbient,
     class_group,
     irrelevant_components,

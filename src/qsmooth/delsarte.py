@@ -1,7 +1,7 @@
 """Fake weighted projective space criterion, atomic types, transpose duality.
 
 On a fake weighted projective space the stratum analysis collapses to a
-single rank condition per variable subset; square (Delsarte-type) systems
+count of nonempty faces per base stratum; square (Delsarte-type) systems
 admit a further classification into sums of Fermat, chain and loop
 polynomials, and an exponent matrix can be transposed onto a dual weighted
 projective space.
@@ -9,7 +9,6 @@ projective space.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -26,7 +25,7 @@ from .errors import (
     NotHomogeneous,
     NotSquare,
 )
-from .linalg import _int_vector, rank_rational, solve_rational
+from .linalg import _int_vector, solve_rational
 from .qscheck import (
     FailureReason,
     Method,
@@ -80,39 +79,27 @@ class DelsarteDecomposition:
 def wps_check(sys: _linsys.MonomialSystem) -> QSVerdict:
     """Quasismoothness on a fake weighted projective space.
 
-    For every nonempty proper variable subset gamma, either some vertex
-    monomial omits all of gamma, or the rows whose gamma-exponents sum to 1
-    must span at least ``num_vars - |gamma|`` dimensions on gamma.
+    Every base stratum C needs at least ``num_vars - |C|`` nonempty faces.
+    The only irrelevant component is the whole variable set, so the base
+    strata are the nonempty proper subsets that every vertex monomial
+    meets.  The rows whose C-exponents sum to 1 are the face supports, each
+    the unit vector e_rho on C, so the rank of that slice is ``k``.
     """
     if not sys.ambient.is_fake_wps():
         raise NotFakeWPS("ambient is not a fake weighted projective space")
     if has_generator_row(sys):
         raise GeneratorInBasis("criterion assumes no generator in the basis")
-    vertex_exps = sys.vertex_exponents()
     r = sys.num_vars
-    for size in range(1, r):
-        for gamma in itertools.combinations(range(r), size):
-            if any(all(row[j] == 0 for j in gamma) for row in vertex_exps):
-                continue
-            slice_rows = [
-                tuple(row[j] for j in gamma)
-                for row in vertex_exps
-                if sum(row[j] for j in gamma) == 1
-            ]
-            if not slice_rows:
-                return QSVerdict(
-                    False,
-                    Method.WPS,
-                    failure=StratumFailure(gamma, FailureReason.ALL_FACES_EMPTY),
-                )
-            if rank_rational(slice_rows) < r - size:
-                return QSVerdict(
-                    False,
-                    Method.WPS,
-                    failure=StratumFailure(
-                        gamma, FailureReason.NO_DEGENERATE_SUBCOLLECTION
-                    ),
-                )
+    for st in _linsys.base_locus_strata(sys):
+        if st.k == 0:
+            reason = FailureReason.ALL_FACES_EMPTY
+        elif st.k < r - len(st.variables):
+            reason = FailureReason.NO_DEGENERATE_SUBCOLLECTION
+        else:
+            continue
+        return QSVerdict(
+            False, Method.WPS, failure=StratumFailure(st.variables, reason)
+        )
     return QSVerdict(True, Method.WPS)
 
 

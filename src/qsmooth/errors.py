@@ -119,5 +119,9 @@ class PointOutsideP2(QsmoothError):
     """A lattice point maps to a negative exponent."""
 
 
+class NotLatticePolytope(QsmoothError):
+    """A lattice polytope was required but a vertex is not integral."""
+
+
 class NonIntegralDual(QsmoothError):
     """A polar dual has non-integral vertices."""

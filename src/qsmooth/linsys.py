@@ -5,7 +5,9 @@ monomial.  All stratum data (hitting sets, face supports, coordinate-sum
 slices) is read off the rows that are vertices of the Newton polytope;
 non-vertex rows change neither the base locus nor any downstream verdict,
 and computing supports on vertex rows keeps the full matrix and its
-vertex-row submatrix literally interchangeable.
+vertex-row submatrix literally interchangeable.  ``BaseStratum`` is the
+one stratum object of the package: every check and screen reads its
+variables, face supports and face count ``k``, built in one place.
 
 Base strata are the relevant variable subsets that meet the support of
 every vertex row, i.e. the relevant transversals of the row supports.
@@ -120,6 +122,8 @@ class BaseStratum:
     ``face_supports`` maps each variable of the stratum to the vertex rows
     whose exponent is 1 there and 0 on the rest of the stratum; ``k`` counts
     the variables with nonempty support.  Iterating yields the variables.
+    ``base_locus_strata`` lists them; ``base_stratum`` builds one from a
+    plain tuple of variables.
     """
 
     variables: tuple[int, ...]
@@ -128,12 +132,6 @@ class BaseStratum:
 
     def __iter__(self):
         return iter(self.variables)
-
-    def support(self, var: int) -> tuple[int, ...]:
-        for v, rows in self.face_supports:
-            if v == var:
-                return rows
-        raise KeyError(var)
 
     def supports(self) -> Mapping[int, tuple[int, ...]]:
         return dict(self.face_supports)
@@ -163,19 +161,16 @@ def _vertex_masks(sys: MonomialSystem) -> list[tuple[int, int, int]]:
     return out
 
 
-def _supports_on(masks, c: tuple[int, ...], cmask: int):
-    """Face supports of C: a row supports rho when it meets C only at rho,
-    with exponent 1 there."""
+def _stratum_on(masks, c: tuple[int, ...], cmask: int) -> BaseStratum:
+    """The stratum C with its face supports: a row supports rho when it
+    meets C only at rho, with exponent 1 there."""
     supports: dict[int, tuple[int, ...]] = dict.fromkeys(c, ())
     for i, support, ones in masks:
         t = support & cmask
         if t & ones and not t & (t - 1):
             supports[t.bit_length() - 1] += (i,)
-    return tuple(supports.items())
-
-
-def _face_supports_for(sys: MonomialSystem, c: tuple[int, ...]):
-    return _supports_on(_vertex_masks(sys), c, _mask(c))
+    k = sum(1 for rows in supports.values() if rows)
+    return BaseStratum(variables=c, face_supports=tuple(supports.items()), k=k)
 
 
 def base_locus_strata(sys: MonomialSystem) -> list[BaseStratum]:
@@ -222,12 +217,7 @@ def base_locus_strata(sys: MonomialSystem) -> list[BaseStratum]:
         ((tuple(j for j in range(r) if cmask >> j & 1), cmask) for cmask in found),
         key=lambda p: (len(p[0]), p[0]),
     )
-    strata = []
-    for c, cmask in patterns:
-        supports = _supports_on(masks, c, cmask)
-        k = sum(1 for _, rows_ in supports if rows_)
-        strata.append(BaseStratum(variables=c, face_supports=supports, k=k))
-    return strata
+    return [_stratum_on(masks, c, cmask) for c, cmask in patterns]
 
 
 def is_base_stratum(sys: MonomialSystem, c: Iterable[int]) -> bool:
@@ -237,16 +227,20 @@ def is_base_stratum(sys: MonomialSystem, c: Iterable[int]) -> bool:
     return all(_hits(row, cs) for row in sys.vertex_exponents())
 
 
-def face_supports(sys: MonomialSystem, c: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """Vertex rows supporting each face polytope of a base stratum.
+def base_stratum(sys: MonomialSystem, c: Iterable[int]) -> BaseStratum:
+    """The ``BaseStratum`` of a variable subset, with its face supports.
 
-    The face polytope at rho is the hull of these rows shifted by -e_rho;
-    it is a face of the Newton polytope, so vertex rows suffice.
+    The face polytope at rho is the hull of the supporting rows shifted by
+    -e_rho; it is a face of the Newton polytope, so vertex rows suffice.
+    A ``BaseStratum`` (as listed by ``base_locus_strata``) is returned as
+    it is; any other iterable of variables is validated first.
     """
+    if isinstance(c, BaseStratum):
+        return c
     cs = tuple(sorted(set(c)))
     if not is_base_stratum(sys, cs):
         raise NotBaseStratum(f"{cs} is not a base-locus stratum")
-    return dict(_face_supports_for(sys, cs))
+    return _stratum_on(_vertex_masks(sys), cs, _mask(cs))
 
 
 def m_gamma(

@@ -28,6 +28,7 @@ from .errors import (
     EmptyInput,
     NotFullDim,
     NotInteriorOrigin,
+    NotLatticePolytope,
     ParseError,
 )
 from .linalg import (
@@ -319,12 +320,14 @@ def rational_hull(points: Sequence[Sequence[Coord]]) -> RationalPolytope:
     return RationalPolytope(n, dim, vertices, facets, equations)
 
 
-def _bounding_box(p: LatticePolytope) -> list[range]:
+def _box_scan(p: LatticePolytope, strict: bool) -> list[tuple[int, ...]]:
+    """Integer points of the vertex bounding box that lie in P (strictly
+    inside when ``strict``), in lexicographic order."""
     ranges = []
     for j in range(p.dim_ambient):
         coords = [Fraction(v[j]) for v in p.vertices]
         ranges.append(range(ceil(min(coords)), floor(max(coords)) + 1))
-    return ranges
+    return [cand for cand in itertools.product(*ranges) if p.contains(cand, strict)]
 
 
 def lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
@@ -333,22 +336,14 @@ def lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     Found by scanning the bounding box of the vertices; order is
     lexicographic, so output is deterministic.
     """
-    out = []
-    for cand in itertools.product(*_bounding_box(p)):
-        if p.contains(cand):
-            out.append(cand)
-    return out
+    return _box_scan(p, strict=False)
 
 
 def interior_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     """Integer points strictly inside a full-dimensional polytope."""
     if not p.is_full_dim:
         raise NotFullDim("interior of a lower-dimensional polytope is empty")
-    out = []
-    for cand in itertools.product(*_bounding_box(p)):
-        if p.contains(cand, strict=True):
-            out.append(cand)
-    return out
+    return _box_scan(p, strict=True)
 
 
 def is_canonical(p: LatticePolytope) -> bool:
@@ -356,7 +351,7 @@ def is_canonical(p: LatticePolytope) -> bool:
     if not p.is_full_dim:
         raise NotFullDim("canonicality needs a full-dimensional polytope")
     if any(isinstance(x, Fraction) and x.denominator != 1 for v in p.vertices for x in v):
-        raise ValueError("canonicality is defined for lattice polytopes")
+        raise NotLatticePolytope("canonicality is defined for lattice polytopes")
     origin = tuple(0 for _ in range(p.dim_ambient))
     return interior_lattice_points(p) == [origin]
 

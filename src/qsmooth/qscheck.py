@@ -91,18 +91,6 @@ def _gamma_ranks(sys: _linsys.MonomialSystem, rows: Sequence[int], gamma: Sequen
     return small, big
 
 
-def _stratum_data(sys, c):
-    """Variables and face supports of a stratum.
-
-    A ``BaseStratum`` from ``base_locus_strata`` is trusted as it is; any
-    other iterable of variables is validated first.
-    """
-    if isinstance(c, _linsys.BaseStratum):
-        return c.variables, dict(c.face_supports)
-    cs = tuple(sorted(set(c)))
-    return cs, _linsys.face_supports(sys, cs)
-
-
 def _m_gamma(supports, gamma: Sequence[int]) -> tuple[int, ...]:
     """``linsys.m_gamma`` read off the face supports: their sorted union."""
     return tuple(sorted(i for rho in gamma for i in supports[rho]))
@@ -115,7 +103,8 @@ def check_stratum_rank(
 
     ``c`` is a ``BaseStratum`` or an iterable of variables (validated).
     """
-    cs, supports = _stratum_data(sys, c)
+    st = _linsys.base_stratum(sys, c)
+    cs, supports = st.variables, st.supports()
     candidates = [rho for rho in cs if supports[rho]]
     if not candidates:
         return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
@@ -144,10 +133,11 @@ def check_stratum_polytope(
     ``rank_small = |gamma|``; the base rows stay independent on C while
     every translate vanishes there, so ``rank_big = |gamma| + span``.
     """
-    cs, supports = _stratum_data(sys, c)
+    st = _linsys.base_stratum(sys, c)
+    cs = st.variables
     translated = {}
-    for rho in cs:
-        pts = [sys.exponents[i] for i in supports[rho]]
+    for rho, rows in st.face_supports:
+        pts = [sys.exponents[i] for i in rows]
         if pts:
             base = min(pts)
             translated[rho] = [vector_sub(p, base) for p in pts]
@@ -214,9 +204,8 @@ def sufficient_screen(sys: _linsys.MonomialSystem, c: Iterable[int]) -> bool:
     True on every base stratum implies quasismooth; the converse fails, so
     a False here decides nothing on its own.
     """
-    cs, supports = _stratum_data(sys, c)
-    k = sum(1 for rows in supports.values() if rows)
-    return k > _toric.stratum_image_dim(sys.ambient, cs, sys.degree[0])
+    st = _linsys.base_stratum(sys, c)
+    return st.k > _toric.stratum_image_dim(sys.ambient, st.variables, sys.degree[0])
 
 
 def necessary_screen(sys: _linsys.MonomialSystem, c: Iterable[int]) -> bool:
@@ -227,10 +216,10 @@ def necessary_screen(sys: _linsys.MonomialSystem, c: Iterable[int]) -> bool:
     """
     if has_generator_row(sys):
         raise GeneratorInBasis("necessary screen assumes no generator in the basis")
-    cs, supports = _stratum_data(sys, c)
-    k = sum(1 for rows in supports.values() if rows)
-    dim_stratum = sys.num_vars - len(cs)
-    return dim_stratum - k <= _toric.irrelevant_dim_in_stratum(sys.ambient, cs)
+    st = _linsys.base_stratum(sys, c)
+    dim_stratum = sys.num_vars - len(st.variables)
+    irrelevant_dim = _toric.irrelevant_dim_in_stratum(sys.ambient, st.variables)
+    return dim_stratum - st.k <= irrelevant_dim
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ when the points vanishing exactly on C survive the removal of the
 irrelevant locus, i.e. when C contains no irrelevant component.  For a fan
 this is the same as C being contained in the ray set of some cone.  For
 non-simplicial fans the zero-pattern indexing checks every relevant subset,
-a conservative superset of the per-cone strata.
+a conservative superset of the per-cone strata.  ``relevant_subsets`` lists
+the subsets as plain tuples; the strata the checks read are built in
+``linsys``.
 
 File format (sectioned, ``#`` comments):
   ``[rays]`` one primitive ray per line; ``[cones]`` one maximal cone per
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import polytope as _poly
@@ -195,26 +197,6 @@ def irrelevant_components(fan: Fan) -> list[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class StratumSet:
-    """All relevant variable subsets, ordered by size then lexicographically."""
-
-    subsets: tuple[tuple[int, ...], ...]
-    _index: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", frozenset(self.subsets))
-
-    def __iter__(self):
-        return iter(self.subsets)
-
-    def __len__(self):
-        return len(self.subsets)
-
-    def __contains__(self, c) -> bool:
-        return tuple(sorted(c)) in self._index
-
-
-@dataclass(frozen=True)
 class ToricAmbient:
     """Toric ambient space with a uniform stratum interface.
 
@@ -276,19 +258,18 @@ class ToricAmbient:
         )
 
 
-def relevant_subsets(ambient: ToricAmbient) -> StratumSet:
+def relevant_subsets(ambient: ToricAmbient) -> tuple[tuple[int, ...], ...]:
     """Every variable subset whose zero pattern survives in the ambient.
 
     The set is downward closed and excludes exactly the supersets of the
-    irrelevant components.
+    irrelevant components; it is ordered by size, then lexicographically.
     """
-    subsets = [
+    return tuple(
         c
         for size in range(ambient.num_vars + 1)
         for c in itertools.combinations(range(ambient.num_vars), size)
         if ambient.is_relevant(c)
-    ]
-    return StratumSet(tuple(subsets))
+    )
 
 
 def stratum_image_dim(ambient: ToricAmbient, c: Iterable[int], w=None) -> int:

@@ -212,6 +212,39 @@ def random_atomic_sum(rng: random.Random, num_vars: int, max_exp: int = 6):
     return atoms, rows
 
 
+def _monomials_of_degree(weights, degree):
+    if not weights:
+        return [()] if degree == 0 else []
+    w, rest = weights[0], weights[1:]
+    return [
+        (a,) + tail
+        for a in range(degree // w + 1)
+        for tail in _monomials_of_degree(rest, degree - a * w)
+    ]
+
+
+def random_wps_system(rng: random.Random, max_vars: int = 5, max_weight: int = 3):
+    """Random system on a weighted projective space, square or not, or None.
+
+    Picks weights and a degree, sometimes adds the pure powers that the
+    degree allows, then a few random monomials of that degree.  Systems
+    with a generator row or fewer than two monomials give None.
+    """
+    from qsmooth.toric import make_wps
+
+    n = rng.randint(2, max_vars)
+    weights = tuple(rng.randint(1, max_weight) for _ in range(n))
+    degree = rng.randint(max(weights) + 1, 4 * max_weight)
+    pool = [m for m in _monomials_of_degree(weights, degree) if sum(m) != 1]
+    rows = set()
+    if rng.random() < 0.5:
+        rows.update(m for m in pool if max(m) == sum(m))
+    rows.update(rng.sample(pool, min(len(pool), rng.randint(1, n + 2))))
+    if len(rows) < 2:
+        return None
+    return monomial_system(make_wps(weights), sorted(rows))
+
+
 def wps_weights_for(rows):
     """Positive integer weights and degree solving A w = d 1, or None."""
     from qsmooth.errors import SingularMatrix

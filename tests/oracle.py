@@ -18,13 +18,22 @@ from qsmooth.errors import (
     DimensionMismatch,
     EmptyGamma,
     EmptyInput,
+    GeneratorInBasis,
     NotBaseStratum,
+    NotFakeWPS,
     SingularMatrix,
 )
 from qsmooth.linalg import dot, gcd_vector, vector_sub
 from qsmooth.linsys import BaseStratum, is_base_stratum, newton_polytope
 from qsmooth.polytope import Equation, Facet, _drop_midpoints, lattice_points
-from qsmooth.qscheck import FailureReason, StratumFailure, StratumWitness
+from qsmooth.qscheck import (
+    FailureReason,
+    Method,
+    QSVerdict,
+    StratumFailure,
+    StratumWitness,
+    has_generator_row,
+)
 from qsmooth.toric import relevant_subsets
 
 
@@ -439,6 +448,46 @@ def base_locus_strata_scan(sys) -> list[BaseStratum]:
         k = sum(1 for _, rows in supports if rows)
         strata.append(BaseStratum(variables=c, face_supports=supports, k=k))
     return strata
+
+
+def wps_check_subsets(sys) -> QSVerdict:
+    """Fake-WPS criterion by scanning every nonempty proper variable subset.
+
+    This is the package's former ``delsarte.wps_check``: for every subset
+    gamma in (size, lex) order, either some vertex monomial omits all of
+    gamma, or the rows whose gamma-exponents sum to 1 must span at least
+    ``num_vars - |gamma|`` dimensions on gamma, one rank per subset.
+    """
+    if not sys.ambient.is_fake_wps():
+        raise NotFakeWPS("ambient is not a fake weighted projective space")
+    if has_generator_row(sys):
+        raise GeneratorInBasis("criterion assumes no generator in the basis")
+    vertex_exps = sys.vertex_exponents()
+    r = sys.num_vars
+    for size in range(1, r):
+        for gamma in itertools.combinations(range(r), size):
+            if any(all(row[j] == 0 for j in gamma) for row in vertex_exps):
+                continue
+            slice_rows = [
+                tuple(row[j] for j in gamma)
+                for row in vertex_exps
+                if sum(row[j] for j in gamma) == 1
+            ]
+            if not slice_rows:
+                return QSVerdict(
+                    False,
+                    Method.WPS,
+                    failure=StratumFailure(gamma, FailureReason.ALL_FACES_EMPTY),
+                )
+            if rank_bareiss(slice_rows) < r - size:
+                return QSVerdict(
+                    False,
+                    Method.WPS,
+                    failure=StratumFailure(
+                        gamma, FailureReason.NO_DEGENERATE_SUBCOLLECTION
+                    ),
+                )
+    return QSVerdict(True, Method.WPS)
 
 
 def int_hull_data_exhaustive(pts):

@@ -194,6 +194,20 @@ class TestPolytopeCommands:
         assert code == 0
         assert "good = true" in report
 
+    def test_goodpair_rational_first_polytope_is_an_input_error(self, tmp_path):
+        p1 = tmp_path / "p1.txt"
+        p2 = tmp_path / "p2.txt"
+        p1.write_text("1/2 0\n0 1\n-1 -1\n", encoding="utf-8")
+        p2.write_text("2 0\n0 2\n-2 -2\n", encoding="utf-8")
+        code, report = run_cli(["goodpair", "--p1", str(p1), "--p2", str(p2)])
+        assert code == 2
+        assert report == "error: canonicality is defined for lattice polytopes"
+        code, report = run_cli(
+            ["goodpair", "--p1", str(p1), "--p2", str(p2), "--output", "machine"]
+        )
+        assert code == 2
+        assert "[error]" in report and "internal error" not in report
+
     def test_dualize_emits_two_polytopes(self):
         code, report = run_cli(
             [

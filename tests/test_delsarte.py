@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from generators import random_atomic_sum, wps_weights_for
+from generators import (
+    enumerate_atomic_sums,
+    random_atomic_sum,
+    random_wps_system,
+    wps_weights_for,
+)
+from oracle import wps_check_subsets
 from qsmooth.delsarte import (
     AtomicType,
     AtomKind,
@@ -23,7 +29,7 @@ from qsmooth.errors import (
     SingularMatrix,
 )
 from qsmooth.linsys import monomial_system
-from qsmooth.qscheck import is_quasismooth
+from qsmooth.qscheck import FailureReason, is_quasismooth
 from qsmooth.toric import Fan, ToricAmbient, make_wps
 
 
@@ -105,6 +111,57 @@ class TestWpsCheck:
             sys_ = wps_system(rows, weights)
             assert wps_check(sys_).quasismooth == is_quasismooth(sys_).quasismooth
             checked += 1
+
+
+class TestWpsCheckDifferential:
+    """``wps_check`` over base strata equals the scan of every subset:
+    same verdict, same failing stratum, same reason."""
+
+    def _same(self, sys_):
+        verdict = wps_check(sys_)
+        assert verdict == wps_check_subsets(sys_)
+        return verdict.failure.reason if verdict.failure else None
+
+    def test_enumerated_atomic_sums(self):
+        sums = list(enumerate_atomic_sums(4, 4))
+        for n, atoms in sums:
+            rows = [r for a in atoms for r in a.rows(n)]
+            assert self._same(wps_system(rows, wps_weights_for(rows)[0])) is None
+        assert len(sums) > 1000
+
+    def test_random_square_systems(self):
+        rng = random.Random(70_708)
+        outcomes = []
+        while len(outcomes) < 300:
+            n = rng.randint(3, 5)
+            rows = sorted({tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(n)})
+            pair = wps_weights_for(rows) if len(rows) == n else None
+            if pair is None or any(sum(r) == 1 for r in rows):
+                continue
+            outcomes.append(self._same(wps_system(rows, pair[0])))
+        assert set(outcomes) == {None, *FailureReason}
+
+    def test_random_non_square_systems(self):
+        rng = random.Random(70_709)
+        outcomes = []
+        while len(outcomes) < 1500:
+            sys_ = random_wps_system(rng)
+            if sys_ is not None:
+                outcomes.append(self._same(sys_))
+        assert 100 < outcomes.count(None) < 1400
+        assert set(outcomes) == {None, *FailureReason}
+
+    def test_wide_sums_some_failing(self):
+        rng = random.Random(70_710)
+        outcomes = []
+        for n in (12, 13, 14, 15, 16) * 2:
+            _, rows = random_atomic_sum(rng, n, max_exp=3)
+            weights, _ = wps_weights_for(rows)
+            if len(outcomes) % 2:
+                rows = rows[:-1]
+            outcomes.append(self._same(wps_system(rows, weights)))
+        assert outcomes[::2] == [None] * 5
+        assert None not in outcomes[1::2]
 
 
 class TestClassifyAtomic:

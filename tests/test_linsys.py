@@ -23,8 +23,8 @@ from qsmooth.errors import (
 from qsmooth.linsys import (
     BaseStratum,
     base_locus_strata,
+    base_stratum,
     load_system,
-    face_supports,
     format_monomials,
     m_gamma,
     monomial_system,
@@ -255,6 +255,32 @@ class TestBaseStrataDifferential:
             )
 
 
+class TestBaseStratumFromTuple:
+    """``base_stratum`` on a plain tuple builds the listed ``BaseStratum``."""
+
+    def _same(self, sys_):
+        strata = base_locus_strata(sys_)
+        for st in strata:
+            assert base_stratum(sys_, st) is st
+            assert base_stratum(sys_, st.variables) == st
+            assert base_stratum(sys_, reversed(st.variables)) == st
+        return len(strata)
+
+    def test_fixtures(self):
+        assert sum(self._same(sys_) for sys_ in _fixture_systems()) > 0
+
+    def test_random_fan_systems(self):
+        rng = random.Random(45_454)
+        drawn = strata = 0
+        while drawn < 100:
+            out = random_fan_system(rng)
+            if out is None:
+                continue
+            drawn += 1
+            strata += self._same(out[2])
+        assert strata > 50
+
+
 class TestLoopSystemScaling:
     """Base strata of the cycle x_i^3 x_(i+1): the proper vertex covers of
     the r-cycle, L_r - 1 of them (L_r the r-th Lucas number)."""
@@ -290,7 +316,7 @@ class TestLoopSystemScaling:
 
 class TestFaceSupports:
     def test_product_pair_stratum(self, product_system):
-        supports = face_supports(product_system, (1, 2))
+        supports = base_stratum(product_system, (1, 2)).supports()
         assert supports[1] == (0, 1)
         assert supports[2] == (2, 3)
         seg = [
@@ -300,7 +326,7 @@ class TestFaceSupports:
         assert seg == [(2, 0, 0, 2, 0), (2, 0, 0, 0, 2)]
 
     def test_triple_point_stratum_all_empty(self, p4_system):
-        supports = face_supports(p4_system, (0, 1, 2))
+        supports = base_stratum(p4_system, (0, 1, 2)).supports()
         assert all(rows == () for rows in supports.values())
 
     def test_blowup_supports_are_single_points(self, blowup_system):
@@ -317,7 +343,7 @@ class TestFaceSupports:
 
     def test_not_a_stratum(self, product_system):
         with pytest.raises(NotBaseStratum):
-            face_supports(product_system, (0,))
+            base_stratum(product_system, (0,))
 
 
 class TestMGamma:

@@ -215,6 +215,30 @@ class TestScreenSoundness:
                 assert not verdict.quasismooth
             checked += 1
 
+    def test_screens_agree_on_a_stratum_and_its_tuple(self):
+        rng = random.Random(405)
+        systems = [random_product_system(rng, [2, 3]) for _ in range(20)]
+        while len(systems) < 100:
+            out = random_fan_system(rng)
+            if out is not None:
+                systems.append(out[2])
+        compared = 0
+        for sys_ in systems:
+            generator = has_generator_row(sys_)
+            for st in base_locus_strata(sys_):
+                plain = tuple(reversed(st.variables))
+                assert sufficient_screen(sys_, st) == sufficient_screen(sys_, plain)
+                if not generator:
+                    assert necessary_screen(sys_, st) == necessary_screen(sys_, plain)
+                compared += 1
+        assert compared > 100
+
+    def test_screens_reject_a_tuple_off_the_base_locus(self, product_system):
+        with pytest.raises(NotBaseStratum):
+            sufficient_screen(product_system, (0,))
+        with pytest.raises(NotBaseStratum):
+            necessary_screen(product_system, (0,))
+
 
 class TestMethodAgreement:
     def test_fixtures_agree_per_stratum(

@@ -149,12 +149,6 @@ class TestRelevantSubsets:
         assert (0, 1) not in subsets and (2, 3) not in subsets
         assert (0, 2) in subsets
 
-    def test_membership_ignores_order(self, blowup_fan_ambient):
-        subsets = relevant_subsets(blowup_fan_ambient)
-        for c in subsets:
-            assert tuple(reversed(c)) in subsets
-        assert tuple(range(blowup_fan_ambient.num_vars)) not in subsets
-
     def test_downward_closed(self, blowup_fan_ambient):
         subsets = set(relevant_subsets(blowup_fan_ambient))
         for c in subsets:
