@@ -76,7 +76,9 @@ def monomial_system(
     When the rows are affinely independent (as for every square system with
     an invertible exponent matrix) each row is a vertex and the hull is
     skipped; otherwise the vertices come from ``polytope.hull``, an exact
-    beneath-beyond hull.  A non-integral exponent raises ``ValueError``.
+    beneath-beyond hull.  Only the hull's vertices are read, so its facet
+    inequalities, which are listed on first read, are never computed.  A
+    non-integral exponent raises ``ValueError``.
     """
     try:
         exps = tuple(_int_vector(r) for r in rows)

@@ -2,11 +2,13 @@
 
 Polytopes are stored with explicit vertex lists, facet inequalities
 ``<normal, x> >= offset`` and, when the hull is not full-dimensional,
-affine-hull equations.  Facets are found by an incremental beneath-beyond
-hull in integer arithmetic on a full-dimensional projection of the
-points, then listed in a fixed order with normals read off in ambient
-coordinates, so the facet list depends only on the input points and
-their order.
+affine-hull equations.  Vertices and facet incidences are found by an
+incremental beneath-beyond hull in integer arithmetic on a
+full-dimensional projection of the points.  The facet inequalities are
+listed the first time a polytope's ``facets`` is read, in a fixed order
+with normals read off in ambient coordinates, so the facet list depends
+only on the input points and their order; a caller that needs only the
+vertices (as ``linsys.monomial_system`` does) never pays for it.
 
 Lower-dimensional polytopes are kept in their ambient coordinates rather
 than being projected; the affine hull is recorded as equations.
@@ -20,8 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd
-from typing import Sequence, Union
+from operator import sub
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -60,13 +64,56 @@ class Equation:
     value: Coord
 
 
-@dataclass(frozen=True)
 class LatticePolytope:
-    dim_ambient: int
-    dim: int
-    vertices: tuple[Point, ...]
-    facets: tuple[Facet, ...]
-    equations: tuple[Equation, ...]
+    """Immutable polytope: vertices, facet inequalities and affine-hull equations.
+
+    ``facets`` is either a tuple or a function of no arguments returning
+    them; a function is called the first time ``facets`` is read, so a
+    caller that needs only the vertices never lists the facets.
+    Equality and hashing compare all five fields and so list the facets.
+    """
+
+    def __init__(
+        self,
+        dim_ambient: int,
+        dim: int,
+        vertices: tuple[Point, ...],
+        facets: tuple[Facet, ...] | Callable[[], Iterable[Facet]],
+        equations: tuple[Equation, ...],
+    ):
+        fields = self.__dict__
+        fields.update(dim_ambient=dim_ambient, dim=dim, vertices=vertices, equations=equations)
+        if callable(facets):
+            fields["_list_facets"] = facets
+        else:
+            fields["facets"] = tuple(facets)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @cached_property
+    def facets(self) -> tuple[Facet, ...]:
+        facets = tuple(self._list_facets())
+        del self.__dict__["_list_facets"]  # release the hull data it closes over
+        return facets
+
+    def _key(self):
+        return (self.dim_ambient, self.dim, self.vertices, self.facets, self.equations)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(dim_ambient={self.dim_ambient!r}, dim={self.dim!r}, "
+            f"vertices={self.vertices!r}, facets={self.facets!r}, "
+            f"equations={self.equations!r})"
+        )
 
     @property
     def is_full_dim(self) -> bool:
@@ -113,20 +160,19 @@ def _scale_to_int(points: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
 
 
 def _drop_midpoints(pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Discard points that are exact averages of two others (never vertices)."""
+    """Discard points that are exact averages of two others (never vertices).
+
+    The points must be distinct: then ``2p - a`` equals ``a`` or ``p``
+    only when ``a == p``, the one pair skipped.
+    """
     index = set(pts)
     core = []
     for p in pts:
-        doubled = tuple(2 * x for x in p)
-        is_mid = False
+        doubled = [2 * x for x in p]
         for a in pts:
-            if a == p:
-                continue
-            b = tuple(d - x for d, x in zip(doubled, a))
-            if b != a and b in index and b != p:
-                is_mid = True
+            if a != p and tuple(map(sub, doubled, a)) in index:
                 break
-        if not is_mid:
+        else:
             core.append(p)
     return core
 
@@ -225,19 +271,17 @@ def _facet_masks(pts: list[tuple[int, ...]], dim: int) -> list[int]:
     return list(facets.values())
 
 
-def _int_hull_data(pts: list[tuple[int, ...]]):
-    """Facets, equations and vertex flags for the hull of integer points.
+def _hull_parts(pts: list[tuple[int, ...]]):
+    """Dimension, equations, vertex flags and a facet lister for integer points.
 
     One echelon of the differences ``p - pts[0]`` gives the dimension, the
     equations of the affine hull (its kernel) and ``dim`` pivot coordinates
-    on which the hull projects one-to-one.  The facets come from
-    ``_facet_masks`` on the core points (those that are not midpoints of
-    two others) in those coordinates.  They are listed in the order of the
-    lexicographically first affinely independent ``dim``-subset of their
-    support, and each normal is the first vector of the kernel of that
-    subset that does not vanish on the affine hull (a primitive vector),
-    with its sign fixed so that the hull lies on the nonnegative side.  A core
-    point is a vertex when the facets through it meet in that point alone.
+    on which the hull projects one-to-one.  The facet incidence masks come
+    from ``_facet_masks`` on the core points (those that are not midpoints
+    of two others) in those coordinates.  A core point is a vertex when the
+    facets through it meet in that point alone.  The facets themselves are
+    listed only when the returned function is called (see
+    ``_list_facets``).
     """
     n = len(pts[0])
     base = pts[0]
@@ -247,12 +291,32 @@ def _int_hull_data(pts: list[tuple[int, ...]]):
     dim = span.rank
     equations = [Equation(nv, dot(nv, base)) for nv in span.kernel()]
     if dim == 0:
-        return dim, [], equations, [n > 0]
+        return dim, equations, [n > 0], lambda: []
 
     core = _drop_midpoints(pts)
     proj = [tuple(p[j] for j in span.pivots) for p in core]
     masks = _facet_masks(proj, dim)
 
+    meet = [(1 << len(core)) - 1] * len(core)
+    for m in masks:
+        for i in _bits(m):
+            meet[i] &= m
+    vertices = {p for i, p in enumerate(core) if meet[i] == 1 << i}
+    flags = [p in vertices for p in pts]
+    return dim, equations, flags, lambda: _list_facets(core, proj, masks, span)
+
+
+def _list_facets(core, proj, masks, span: Echelon) -> list[Facet]:
+    """Facet inequalities of the hull of ``core`` from its incidence masks.
+
+    The facets are listed in the order of the lexicographically first
+    affinely independent ``dim``-subset of their support, and each normal
+    is the first vector of the kernel of that subset that does not vanish
+    on the affine hull (a primitive vector), with its sign fixed so that
+    the hull lies on the nonnegative side.
+    """
+    n = len(core[0])
+    dim = span.rank
     facets: list[Facet] = []
     for basis, mask in sorted((_affine_basis(proj, m, dim)[0], m) for m in masks):
         s0 = core[basis[0]]
@@ -266,23 +330,25 @@ def _int_hull_data(pts: list[tuple[int, ...]]):
             normal = tuple(-x for x in normal)
             pivot = -pivot
         facets.append(Facet(normal, pivot))
+    return facets
 
-    meet = [(1 << len(core)) - 1] * len(core)
-    for m in masks:
-        for i in _bits(m):
-            meet[i] &= m
-    vertices = {p for i, p in enumerate(core) if meet[i] == 1 << i}
-    return dim, facets, equations, [p in vertices for p in pts]
+
+def _int_hull_data(pts: list[tuple[int, ...]]):
+    """Dimension, facets, equations and vertex flags, all computed now."""
+    dim, equations, flags, list_facets = _hull_parts(pts)
+    return dim, list_facets(), equations, flags
 
 
 def hull(points: Sequence[Sequence[Coord]]) -> LatticePolytope:
     """Convex hull of integer points with exact facet data.
 
     The returned vertex list is minimal: no vertex lies in the hull of the
-    others, and vertices keep the order of the input.  Facets are listed by
-    the lexicographically first affinely independent subset of their
-    support among the input points that are not midpoints of two others,
-    so the facet order, and with it the ray order of ``normal_fan``, is a
+    others, and vertices keep the order of the input.  The vertices,
+    dimension and equations are computed at once; the facets are listed
+    the first time ``facets`` is read.  Facets are listed by the
+    lexicographically first affinely independent subset of their support
+    among the input points that are not midpoints of two others, so the
+    facet order, and with it the ray order of ``normal_fan``, is a
     function of the input.  Works in any ambient dimension;
     lower-dimensional hulls carry their affine-hull equations.  A
     coordinate that is not an integer (a proper fraction, a float with a
@@ -298,13 +364,16 @@ def hull(points: Sequence[Sequence[Coord]]) -> LatticePolytope:
     if len(widths) != 1:
         raise DimensionMismatch("points of unequal dimension")
     n = len(pts[0])
-    dim, facets, equations, flags = _int_hull_data(pts)
+    dim, equations, flags, list_facets = _hull_parts(pts)
     vertices = tuple(p for p, keep in zip(pts, flags) if keep)
-    return LatticePolytope(n, dim, vertices, tuple(facets), tuple(equations))
+    return LatticePolytope(n, dim, vertices, list_facets, tuple(equations))
 
 
 def rational_hull(points: Sequence[Sequence[Coord]]) -> RationalPolytope:
-    """Convex hull of rational points (facet offsets become Fractions)."""
+    """Convex hull of rational points (facet offsets become Fractions).
+
+    As for ``hull``, the facets are listed the first time they are read.
+    """
     pts = _dedupe([tuple(Fraction(x) for x in p) for p in points])
     if not pts:
         raise EmptyInput("hull of an empty point set")
@@ -313,8 +382,11 @@ def rational_hull(points: Sequence[Sequence[Coord]]) -> RationalPolytope:
         raise DimensionMismatch("points of unequal dimension")
     n = len(pts[0])
     scaled, scale = _scale_to_int(pts)
-    dim, facets, equations, flags = _int_hull_data(scaled)
-    facets = tuple(Facet(f.normal, Fraction(f.offset, scale)) for f in facets)
+    dim, equations, flags, list_facets = _hull_parts(scaled)
+
+    def facets():
+        return (Facet(f.normal, Fraction(f.offset, scale)) for f in list_facets())
+
     equations = tuple(Equation(e.normal, Fraction(e.value, scale)) for e in equations)
     vertices = tuple(p for p, keep in zip(pts, flags) if keep)
     return RationalPolytope(n, dim, vertices, facets, equations)

@@ -25,7 +25,7 @@ from qsmooth.errors import (
 )
 from qsmooth.linalg import dot, gcd_vector, vector_sub
 from qsmooth.linsys import BaseStratum, is_base_stratum, newton_polytope
-from qsmooth.polytope import Equation, Facet, _drop_midpoints, lattice_points
+from qsmooth.polytope import Equation, Facet, lattice_points
 from qsmooth.qscheck import (
     FailureReason,
     Method,
@@ -490,6 +490,29 @@ def wps_check_subsets(sys) -> QSVerdict:
     return QSVerdict(True, Method.WPS)
 
 
+def drop_midpoints_pairs(pts):
+    """Points that are not exact averages of two others, by testing every pair.
+
+    This is the package's former ``polytope._drop_midpoints``, with its
+    explicit ``b != a`` and ``b != p`` tests.
+    """
+    index = set(pts)
+    core = []
+    for p in pts:
+        doubled = tuple(2 * x for x in p)
+        is_mid = False
+        for a in pts:
+            if a == p:
+                continue
+            b = tuple(d - x for d, x in zip(doubled, a))
+            if b != a and b in index and b != p:
+                is_mid = True
+                break
+        if not is_mid:
+            core.append(p)
+    return core
+
+
 def int_hull_data_exhaustive(pts):
     """Facets, equations and vertex flags by testing every facet candidate.
 
@@ -511,7 +534,7 @@ def int_hull_data_exhaustive(pts):
     facets = []
     seen_supports = set()
     eq_rank = rank_bareiss(eq_normals)
-    core = _drop_midpoints(pts)
+    core = drop_midpoints_pairs(pts)
     if dim >= 1:
         for subset in itertools.combinations(range(len(core)), dim):
             s0 = core[subset[0]]

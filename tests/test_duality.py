@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import qsmooth.polytope
+from generators import random_canonical_polytope
 from qsmooth.duality import (
     dual_pair,
     duality_qs_report,
@@ -50,6 +52,52 @@ class TestGoodPairCheck:
         gp = good_pair_check(CROSS, fat)
         assert not gp.p2star_integral
         assert not gp.p2star_canonical
+
+
+class TestGoodPairLazyPolar:
+    """A non-integral polar is judged without listing its facets."""
+
+    @staticmethod
+    def _pairs():
+        yield CROSS, CROSS
+        yield PLANE_ANTICANONICAL, PLANE_ANTICANONICAL
+        rng = random.Random(4_040)
+        for _ in range(30):
+            dim = rng.choice([2, 3])
+            p1 = random_canonical_polytope(rng, dim)
+            corners = [tuple(rng.choice([-1, 1]) * rng.randint(1, 3) for _ in range(dim))
+                       for _ in range(2 * dim)]
+            axes = [tuple(s * (j == i) * rng.randint(1, 3) for j in range(dim))
+                    for i in range(dim) for s in (1, -1)]
+            yield p1, hull(axes + corners)
+            yield p1, p1
+
+    def _flags(self, monkeypatch, force):
+        polars = []
+
+        def polar_dual(p):
+            polar = original(p)
+            if force:
+                polar.facets  # list them
+            polars.append(polar)
+            return polar
+
+        original = qsmooth.polytope.polar_dual
+        with monkeypatch.context() as patch:
+            patch.setattr(qsmooth.polytope, "polar_dual", polar_dual)
+            flags = [
+                (gp.contains, gp.p1_canonical, gp.p2star_canonical, gp.p2star_integral)
+                for gp in (good_pair_check(p1, p2) for p1, p2 in self._pairs())
+            ]
+        return flags, polars
+
+    def test_flags_do_not_depend_on_listing(self, monkeypatch):
+        lazy, polars = self._flags(monkeypatch, force=False)
+        eager, _ = self._flags(monkeypatch, force=True)
+        assert lazy == eager
+        non_integral = [(f, p) for f, p in zip(lazy, polars) if not f[3]]
+        assert non_integral and any(f[3] for f in lazy)
+        assert all("facets" not in p.__dict__ for _, p in non_integral)
 
 
 class TestInducedSystem:

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import qsmooth.polytope
 from conftest import FIXTURES
 from generators import (
     enumerate_atomic_sums,
@@ -110,6 +111,40 @@ class TestVertexRowsDifferential:
                 dependent += 1
             assert out[2].vertex_rows == _hull_vertex_rows(exps)
             assert out[2].vertex_rows == _oracle_vertex_rows(exps)
+
+
+class TestVertexRowsWithoutFacets:
+    """``monomial_system`` reads only the hull's vertices, never its facets."""
+
+    @staticmethod
+    def _refuse_facet_listing(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("facets were listed")
+
+        monkeypatch.setattr(qsmooth.polytope, "rational_kernel_basis", refuse)
+
+    def test_random_fan_systems(self, monkeypatch):
+        rng = random.Random(93_939)
+        draws = []
+        while len(draws) < 40:
+            out = random_fan_system(rng)
+            if out is not None and affine_span_dim(out[2].exponents) < len(out[2].exponents) - 1:
+                draws.append(out)
+        # the draws build their fans with facets; the rebuilt systems may not
+        self._refuse_facet_listing(monkeypatch)
+        for ambient, _, sys_ in draws:
+            rebuilt = monomial_system(ambient, sys_.exponents)
+            assert rebuilt.vertex_rows == _oracle_vertex_rows(sys_.exponents)
+
+    def test_cubic_monomial_subsets(self, monkeypatch):
+        rng = random.Random(94_949)
+        self._refuse_facet_listing(monkeypatch)
+        for num_vars in range(3, 7):
+            pool = [m for m in itertools.product(range(4), repeat=num_vars) if sum(m) == 3]
+            for _ in range(6):
+                rows = rng.sample(pool, rng.randint(num_vars + 1, min(len(pool), num_vars + 6)))
+                sys_ = monomial_system(make_wps([1] * num_vars), rows)
+                assert sys_.vertex_rows == _oracle_vertex_rows(sys_.exponents)
 
 
 class TestBaseLocusStrata:

@@ -8,6 +8,7 @@ import pytest
 from conftest import FIXTURES, fixture_path
 from generators import random_canonical_polytope
 from oracle import (
+    drop_midpoints_pairs,
     in_convex_hull,
     in_interior,
     int_hull_data_exhaustive,
@@ -16,7 +17,10 @@ from oracle import (
 from qsmooth.errors import EmptyInput, NotFullDim, NotInteriorOrigin
 from qsmooth.linalg import affine_span_dim, dot
 from qsmooth.polytope import (
+    Facet,
+    LatticePolytope,
     _dedupe,
+    _drop_midpoints,
     _int_hull_data,
     _scale_to_int,
     format_polytope,
@@ -27,6 +31,7 @@ from qsmooth.polytope import (
     load_polytope,
     normal_fan,
     parse_polytope_text,
+    as_lattice,
     polar_dual,
     rational_hull,
 )
@@ -123,6 +128,14 @@ class TestHullDifferential:
         pts = _dedupe(points)
         data = _int_hull_data(pts)
         assert data == int_hull_data_exhaustive(pts)
+        assert hull(pts).facets == tuple(data[1])
+        # the same points divided by 3: rational_hull rescales the facets
+        # of the integer hull of the points with denominators cleared
+        thirds = [tuple(Fraction(x, 3) for x in p) for p in pts]
+        scaled, scale = _scale_to_int(thirds)
+        assert rational_hull(thirds).facets == tuple(
+            Facet(f.normal, Fraction(f.offset, scale)) for f in _int_hull_data(scaled)[1]
+        )
         flags = data[3]
         for i, p in enumerate(pts):
             others = pts[:i] + pts[i + 1 :]
@@ -184,6 +197,82 @@ class TestHullDifferential:
         self._check([(x, y, 5 - x - y) for x in range(3) for y in range(3)])
         self._check(EIGHT_ROWS + [(2, 1, 0, 1, 1), (1, 1, 1, 1, 1)])
         self._check([(4, 5)])
+
+
+class TestDropMidpointsDifferential:
+    """The pair test without its redundant checks keeps the same core."""
+
+    def _check(self, points):
+        pts = _dedupe(points)
+        assert _drop_midpoints(pts) == drop_midpoints_pairs(pts)
+
+    def test_seeded_clouds(self):
+        rng = random.Random(7_005)
+        for _ in range(400):
+            width = rng.randint(1, 6)
+            self._check(
+                [tuple(rng.randint(-2, 2) for _ in range(width)) for _ in range(rng.randint(1, 14))]
+            )
+
+    def test_collinear_runs(self):
+        rng = random.Random(7_006)
+        for _ in range(60):
+            width = rng.randint(1, 5)
+            start = [rng.randint(-3, 3) for _ in range(width)]
+            step = [rng.randint(-2, 2) for _ in range(width)]
+            run = [tuple(a + k * d for a, d in zip(start, step)) for k in range(rng.randint(1, 8))]
+            rng.shuffle(run)
+            self._check(run)
+            self._check(run + [tuple(rng.randint(-3, 3) for _ in range(width))])
+
+    def test_lower_dimensional_sets(self):
+        rng = random.Random(7_007)
+        for _ in range(80):
+            dim = rng.randint(1, 3)
+            base = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(2, 10))]
+            self._check(_embed(rng, base, dim + rng.randint(1, 3)))
+
+
+class TestLazyFacets:
+    """Facets are listed on first read and compare like eager ones."""
+
+    def test_vertices_do_not_list_facets(self):
+        p = hull(EIGHT_ROWS)
+        assert sorted(p.vertices) == sorted(EIGHT_ROWS)
+        assert "facets" not in p.__dict__
+        assert p.facets == tuple(_int_hull_data(EIGHT_ROWS)[1])
+        assert "_list_facets" not in p.__dict__
+
+    def test_equality_and_hash_force_facets(self):
+        rng = random.Random(7_008)
+        for _ in range(20):
+            pts = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(1, 9))]
+            fresh, read = hull(pts), hull(pts)
+            read.facets  # list them
+            assert fresh == read and read == fresh
+            assert "facets" in fresh.__dict__
+            assert hash(fresh) == hash(hull(pts)) == hash(read)
+            rational = [tuple(Fraction(x, 2) for x in p) for p in pts]
+            fresh, read = rational_hull(rational), rational_hull(rational)
+            read.facets  # list them
+            assert fresh == read and hash(fresh) == hash(read)
+
+    def test_facets_distinguish_polytopes(self):
+        square = hull(SQUARE)
+        same_vertices = LatticePolytope(2, 2, square.vertices, (), ())
+        assert square != same_vertices and hash(square) != hash(same_vertices)
+        assert square != rational_hull(SQUARE)
+
+    def test_as_lattice_keeps_listed_facets(self):
+        polar = polar_dual(hull(SQUARE))
+        lattice = as_lattice(polar)
+        assert "facets" in lattice.__dict__
+        assert lattice.facets == hull(lattice.vertices).facets
+
+    def test_immutable(self):
+        p = hull(SQUARE)
+        with pytest.raises(AttributeError):
+            p.dim = 3
 
 
 class TestHullScaling:
