@@ -36,7 +36,6 @@ from .linsys import (
     base_locus_strata,
     base_stratum,
     load_system,
-    m_gamma,
     monomial_system,
     parse_monomials_text,
 )
@@ -63,7 +62,6 @@ from .qscheck import (
     check_stratum_rank,
     check_surface_on_threefold,
     is_quasismooth,
-    necessary_screen,
     sufficient_screen,
 )
 from .toric import (
@@ -72,10 +70,8 @@ from .toric import (
     ToricAmbient,
     class_group,
     irrelevant_components,
-    irrelevant_dim_in_stratum,
     is_complete,
     is_fake_wps,
-    is_homogeneous,
     load_ambient,
     make_wps,
     parse_ambient_text,

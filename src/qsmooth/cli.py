@@ -219,21 +219,27 @@ def _cmd_dualize(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise QsmoothError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
 def _cmd_induce(cfg: RunConfig) -> int:
     p1, p2 = _load_pair(cfg)
     induced = _duality.induced_system(p1, p2)
     ambient_text = _toric.format_ambient(induced.ambient)
     monomials_text = _linsys.format_monomials(induced.system.exponents)
     if cfg.out_ambient:
-        with open(cfg.out_ambient, "w", encoding="utf-8") as fh:
-            fh.write(ambient_text)
+        _write_output(cfg.out_ambient, ambient_text)
         cfg.emit(f"wrote ambient to {cfg.out_ambient}")
     else:
         cfg.emit("# induced ambient")
         cfg.emit(ambient_text.rstrip("\n"))
     if cfg.out_monomials:
-        with open(cfg.out_monomials, "w", encoding="utf-8") as fh:
-            fh.write(monomials_text)
+        _write_output(cfg.out_monomials, monomials_text)
         cfg.emit(f"wrote monomials to {cfg.out_monomials}")
     else:
         cfg.emit("# induced monomials")

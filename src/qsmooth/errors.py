@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on a user-facing path derives from :class:`QsmoothError`,
-so the CLI can map any of them to exit code 2.
+so the CLI can map any of them to exit code 2.  ``read_input`` turns a
+missing, unreadable or undecodable input file into a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,17 @@ class ParseError(QsmoothError):
         self.line = line
         where = path if line is None else f"{path}:{line}"
         super().__init__(f"{where}: {message}")
+
+
+def read_input(path: str) -> str:
+    """The text of an input file; a file that cannot be read as UTF-8 raises ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc.strerror or exc}", path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path) from exc
 
 
 class EmptyInput(QsmoothError):

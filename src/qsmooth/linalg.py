@@ -9,7 +9,8 @@ raised the rank.  Kernel vectors are read off it by back substitution, and
 the unique solution of a square system is the kernel vector of the
 augmented matrix at its last column, so a solve stays in integers until
 one final division per coordinate yields a :class:`fractions.Fraction`.
-The Smith normal form works over the integers and has its own loop.
+Row-space membership is tested over the rationals only.  The Smith
+normal form works over the integers and has its own loop.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class IntMatrix:
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
         return cls(tuple(tuple(r) for r in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -79,20 +76,6 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(
-            tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
-        )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -106,9 +89,6 @@ class IntMatrix:
                 for row in self.entries
             )
         )
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
 
 
 @dataclass(frozen=True)
@@ -378,41 +358,22 @@ def affine_span_dim(points: Sequence[Sequence[int]]) -> int:
     """Dimension of the affine hull of a set of integer points."""
     if not points:
         raise EmptyInput("affine span of an empty point set")
-    base = points[0]
-    diffs = _as_int_rows(vector_sub(p, base) for p in points[1:])
-    return _echelon(diffs, len(diffs[0])).rank if diffs else 0
+    base, *rest = _as_int_rows(points)
+    e = Echelon(len(base))
+    for p in rest:
+        e.add(vector_sub(p, base))
+    return e.rank
 
 
-def in_row_space(
-    v: Sequence[int],
-    matrix: IntMatrix | Sequence[Sequence[int]],
-    over: str = "rationals",
-) -> bool:
-    """Membership of v in the rational or integral row span of a matrix."""
+def in_row_space(v: Sequence[int], matrix: IntMatrix | Sequence[Sequence[int]]) -> bool:
+    """Membership of v in the rational row span of a matrix."""
     rows = matrix.entries if isinstance(matrix, IntMatrix) else _as_int_rows(matrix)
     v = _int_vector(v)
     if rows and len(v) != len(rows[0]):
         raise DimensionMismatch("vector length does not match matrix width")
-    if all(x == 0 for x in v):
+    if not any(v):
         return True
-    if not rows:
-        return False
-    if over == "rationals":
-        return not _echelon(rows, len(v)).add(v)
-    if over != "integers":
-        raise ValueError(f"unknown coefficient ring {over!r}")
-    # x * M = v has an integer solution iff (v * V) is compatible with D.
-    snf = smith_normal_form(rows)
-    w = tuple(dot(v, snf.V.column(j)) for j in range(snf.V.cols))
-    diag = snf.diagonal
-    for j, wj in enumerate(w):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            if wj != 0:
-                return False
-        elif wj % d:
-            return False
-    return True
+    return bool(rows) and not _echelon(rows, len(v)).add(v)
 
 
 def solve_rational(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...]:

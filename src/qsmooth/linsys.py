@@ -33,11 +33,11 @@ from . import toric as _toric
 from .errors import (
     DimensionMismatch,
     DuplicateMonomial,
-    EmptyGamma,
     EmptyInput,
     NotBaseStratum,
     NotHomogeneous,
     ParseError,
+    read_input,
 )
 from .linalg import _int_vector, affine_span_dim
 
@@ -111,10 +111,6 @@ def monomial_system(
         vertex_set = set(_poly.hull(exps).vertices)
         vertex_rows = tuple(i for i, r in enumerate(exps) if r in vertex_set)
     return MonomialSystem(ambient=ambient, exponents=exps, vertex_rows=vertex_rows)
-
-
-def newton_polytope(sys: MonomialSystem) -> _poly.LatticePolytope:
-    return _poly.hull(sys.exponents)
 
 
 @dataclass(frozen=True)
@@ -245,30 +241,6 @@ def base_stratum(sys: MonomialSystem, c: Iterable[int]) -> BaseStratum:
     return _stratum_on(_vertex_masks(sys), cs, _mask(cs))
 
 
-def m_gamma(
-    sys: MonomialSystem, c: Iterable[int], gamma: Iterable[int]
-) -> tuple[int, ...]:
-    """Vertex rows with coordinate sum 1 on gamma, vanishing on C minus gamma.
-
-    Equals the disjoint union of the face supports over gamma.
-    """
-    cs = tuple(sorted(set(c)))
-    gs = tuple(sorted(set(gamma)))
-    if not gs:
-        raise EmptyGamma("gamma must be nonempty")
-    if not set(gs) <= set(cs):
-        raise ValueError("gamma must be a subset of the stratum")
-    if not is_base_stratum(sys, cs):
-        raise NotBaseStratum(f"{cs} is not a base-locus stratum")
-    rest = [j for j in cs if j not in gs]
-    return tuple(
-        i
-        for i in sys.vertex_rows
-        if sum(sys.exponents[i][j] for j in gs) == 1
-        and all(sys.exponents[i][j] == 0 for j in rest)
-    )
-
-
 # ---------------------------------------------------------------------------
 # text format
 
@@ -319,8 +291,7 @@ def parse_monomials_text(
 
 def load_system(ambient_path: str, monomials_path: str) -> MonomialSystem:
     ambient = _toric.load_ambient(ambient_path)
-    with open(monomials_path, "r", encoding="utf-8") as fh:
-        rows = parse_monomials_text(fh.read(), ambient.num_vars, monomials_path)
+    rows = parse_monomials_text(read_input(monomials_path), ambient.num_vars, monomials_path)
     return monomial_system(ambient, rows)
 
 

@@ -34,6 +34,7 @@ from .errors import (
     NotInteriorOrigin,
     NotLatticePolytope,
     ParseError,
+    read_input,
 )
 from .linalg import (
     Echelon,
@@ -333,12 +334,6 @@ def _list_facets(core, proj, masks, span: Echelon) -> list[Facet]:
     return facets
 
 
-def _int_hull_data(pts: list[tuple[int, ...]]):
-    """Dimension, facets, equations and vertex flags, all computed now."""
-    dim, equations, flags, list_facets = _hull_parts(pts)
-    return dim, list_facets(), equations, flags
-
-
 def hull(points: Sequence[Sequence[Coord]]) -> LatticePolytope:
     """Convex hull of integer points with exact facet data.
 
@@ -514,8 +509,7 @@ def parse_polytope_text(text: str, path: str = "<string>") -> LatticePolytope:
 
 
 def load_polytope(path: str) -> LatticePolytope:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_polytope_text(fh.read(), path)
+    return parse_polytope_text(read_input(path), path)
 
 
 def _format_coord(x: Coord) -> str:

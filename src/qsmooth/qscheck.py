@@ -30,10 +30,9 @@ from . import linsys as _linsys
 from . import toric as _toric
 from .errors import (
     DimensionMismatch,
-    GeneratorInBasis,
     MethodDisagreement,
 )
-from .linalg import affine_span_dim, rank_rational, vector_sub
+from .linalg import Echelon, vector_sub
 
 
 class Method(str, Enum):
@@ -84,15 +83,18 @@ class QSVerdict:
 
 
 def _gamma_ranks(sys: _linsys.MonomialSystem, rows: Sequence[int], gamma: Sequence[int]):
-    small = rank_rational([
-        tuple(sys.exponents[i][j] for j in gamma) for i in rows
-    ])
-    big = rank_rational([sys.exponents[i] for i in rows])
-    return small, big
+    """Ranks of the rows of ``M_gamma`` on the gamma columns and on all columns."""
+    small, big = Echelon(len(gamma)), Echelon(sys.num_vars)
+    for i in rows:
+        row = sys.exponents[i]
+        small.add([row[j] for j in gamma])
+        big.add(row)
+    return small.rank, big.rank
 
 
 def _m_gamma(supports, gamma: Sequence[int]) -> tuple[int, ...]:
-    """``linsys.m_gamma`` read off the face supports: their sorted union."""
+    """``M_gamma``, the vertex rows with coordinate sum 1 on gamma that vanish
+    on the rest of the stratum, read off the face supports: their sorted union."""
     return tuple(sorted(i for rho in gamma for i in supports[rho]))
 
 
@@ -123,8 +125,10 @@ def check_stratum_polytope(
 
     A subcollection gamma of nonempty face polytopes is degenerate when the
     union of their translates through the origin spans fewer than ``|gamma|``
-    dimensions.  Base points are the lexicographically smallest supporting
-    rows; the span dimension does not depend on that choice.  ``c`` is a
+    dimensions.  Every translate contains the origin, the image of its
+    base point, so that span is the rank of the other translated points.
+    Base points are the lexicographically smallest supporting rows; the
+    span dimension does not depend on that choice.  ``c`` is a
     ``BaseStratum`` or an iterable of variables (validated).
 
     The witness ranks need no elimination of their own.  A row of
@@ -140,14 +144,17 @@ def check_stratum_polytope(
         pts = [sys.exponents[i] for i in rows]
         if pts:
             base = min(pts)
-            translated[rho] = [vector_sub(p, base) for p in pts]
+            translated[rho] = [vector_sub(p, base) for p in pts if p != base]
     if not translated:
         return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
     support_vars = list(translated)
     for size in range(1, len(support_vars) + 1):
         for gamma in itertools.combinations(support_vars, size):
-            span = affine_span_dim([p for rho in gamma for p in translated[rho]])
-            k = len(gamma)
+            union = Echelon(sys.num_vars)
+            for rho in gamma:
+                for p in translated[rho]:
+                    union.add(p)
+            span, k = union.rank, len(gamma)
             if k > span:
                 return StratumWitness(cs, gamma, k, k, k + span)
     return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
@@ -206,20 +213,6 @@ def sufficient_screen(sys: _linsys.MonomialSystem, c: Iterable[int]) -> bool:
     """
     st = _linsys.base_stratum(sys, c)
     return st.k > _toric.stratum_image_dim(sys.ambient, st.variables, sys.degree[0])
-
-
-def necessary_screen(sys: _linsys.MonomialSystem, c: Iterable[int]) -> bool:
-    """Fast necessary test comparing stratum dimension against the irrelevant locus.
-
-    Requires that no basis monomial is a coordinate variable.  False on any
-    base stratum implies the system is not quasismooth.
-    """
-    if has_generator_row(sys):
-        raise GeneratorInBasis("necessary screen assumes no generator in the basis")
-    st = _linsys.base_stratum(sys, c)
-    dim_stratum = sys.num_vars - len(st.variables)
-    irrelevant_dim = _toric.irrelevant_dim_in_stratum(sys.ambient, st.variables)
-    return dim_stratum - st.k <= irrelevant_dim
 
 
 # ---------------------------------------------------------------------------

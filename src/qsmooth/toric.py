@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     IrrelevantStratum,
     ParseError,
+    read_input,
 )
 from .linalg import (
     IntMatrix,
@@ -43,7 +44,6 @@ from .linalg import (
     _int_vector,
     dot,
     gcd_vector,
-    in_row_space,
     rank_rational,
     smith_normal_form,
     vector_sub,
@@ -295,26 +295,6 @@ def stratum_image_dim(ambient: ToricAmbient, c: Iterable[int], w=None) -> int:
     return (ambient.num_vars - len(cs)) - rank
 
 
-def irrelevant_dim_in_stratum(ambient: ToricAmbient, c: Iterable[int]) -> int:
-    """Largest dimension of an irrelevant zero pattern refining C (-1 if none)."""
-    cs = set(c)
-    best = -1
-    for comp in ambient.irrelevant:
-        d = ambient.num_vars - len(cs | set(comp))
-        best = max(best, d)
-    return best
-
-
-def is_homogeneous(ambient: ToricAmbient, exponents: Sequence[Sequence[int]]) -> bool:
-    """True iff all exponent vectors share one degree (free and torsion)."""
-    if not exponents:
-        return True
-    base = exponents[0]
-    if any(len(e) != ambient.num_vars for e in exponents):
-        raise DimensionMismatch("exponent length does not match variable count")
-    return not any(any(ambient.grading.degree_difference(base, e)) for e in exponents[1:])
-
-
 def make_wps(weights: Sequence[int], torsion=()) -> ToricAmbient:
     """Weighted projective ambient in quotient presentation."""
     w = _int_vector(weights)
@@ -322,17 +302,6 @@ def make_wps(weights: Sequence[int], torsion=()) -> ToricAmbient:
         raise ValueError("weights must be positive integers")
     grading = Grading(IntMatrix.from_rows([w]), tuple(torsion))
     return ToricAmbient.from_quotient(grading, [tuple(range(len(w)))])
-
-
-def gradings_equivalent(a: Grading, b: Grading) -> bool:
-    """Free parts related by a unimodular row change (mutual Z-row-space inclusion)."""
-    if a.free_part.cols != b.free_part.cols or a.free_rank != b.free_rank:
-        return False
-    return all(
-        in_row_space(row, b.free_part, over="integers") for row in a.free_part.entries
-    ) and all(
-        in_row_space(row, a.free_part, over="integers") for row in b.free_part.entries
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +393,7 @@ def parse_ambient_text(text: str, path: str = "<string>") -> ToricAmbient:
 
 
 def load_ambient(path: str) -> ToricAmbient:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ambient_text(fh.read(), path)
+    return parse_ambient_text(read_input(path), path)
 
 
 def format_ambient(ambient: ToricAmbient) -> str:

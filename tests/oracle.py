@@ -23,9 +23,9 @@ from qsmooth.errors import (
     NotFakeWPS,
     SingularMatrix,
 )
-from qsmooth.linalg import dot, gcd_vector, vector_sub
-from qsmooth.linsys import BaseStratum, is_base_stratum, newton_polytope
-from qsmooth.polytope import Equation, Facet, lattice_points
+from qsmooth.linalg import dot, gcd_vector, smith_normal_form, vector_sub
+from qsmooth.linsys import BaseStratum, base_stratum, is_base_stratum
+from qsmooth.polytope import Equation, Facet, hull, lattice_points
 from qsmooth.qscheck import (
     FailureReason,
     Method,
@@ -380,6 +380,85 @@ def solve_gauss_jordan(matrix, rhs) -> tuple[Fraction, ...]:
     return tuple(Fraction(row[n], prev) for row in a)
 
 
+def in_integer_row_space(v, rows) -> bool:
+    """Membership of v in the integer row span of a matrix, by its Smith form.
+
+    With ``U M V = D``, ``x M = v`` has an integer solution iff each
+    coordinate of ``v V`` is divisible by the matching diagonal entry of
+    ``D`` (and is zero where ``D`` has none).  This is the integer branch
+    the package's ``linalg.in_row_space`` once had.
+    """
+    if not any(v):
+        return True
+    if not rows:
+        return False
+    snf = smith_normal_form(rows)
+    diag = snf.diagonal
+    for j, col in enumerate(zip(*snf.V.entries)):
+        w = dot(v, col)
+        d = diag[j] if j < len(diag) else 0
+        if (w % d if d else w) != 0:
+            return False
+    return True
+
+
+def gradings_equivalent(a, b) -> bool:
+    """Free parts related by a unimodular row change (mutual Z-row-space inclusion).
+
+    This is the package's former ``toric.gradings_equivalent``.
+    """
+    rows_a, rows_b = a.free_part.entries, b.free_part.entries
+    if a.free_part.cols != b.free_part.cols or a.free_rank != b.free_rank:
+        return False
+    return all(in_integer_row_space(row, rows_b) for row in rows_a) and all(
+        in_integer_row_space(row, rows_a) for row in rows_b
+    )
+
+
+def m_gamma(sys, c, gamma) -> tuple[int, ...]:
+    """Vertex rows with coordinate sum 1 on gamma, vanishing on C minus gamma.
+
+    The literal definition, which ``qscheck._m_gamma`` reads off the face
+    supports instead; this is the package's former ``linsys.m_gamma``.
+    """
+    cs = tuple(sorted(set(c)))
+    gs = tuple(sorted(set(gamma)))
+    if not gs:
+        raise EmptyGamma("gamma must be nonempty")
+    if not set(gs) <= set(cs):
+        raise ValueError("gamma must be a subset of the stratum")
+    if not is_base_stratum(sys, cs):
+        raise NotBaseStratum(f"{cs} is not a base-locus stratum")
+    rest = [j for j in cs if j not in gs]
+    return tuple(
+        i
+        for i in sys.vertex_rows
+        if sum(sys.exponents[i][j] for j in gs) == 1
+        and all(sys.exponents[i][j] == 0 for j in rest)
+    )
+
+
+def irrelevant_dim_in_stratum(ambient, c) -> int:
+    """Largest dimension of an irrelevant zero pattern refining C (-1 if none)."""
+    cs = set(c)
+    return max((ambient.num_vars - len(cs | set(comp)) for comp in ambient.irrelevant), default=-1)
+
+
+def necessary_screen(sys, c) -> bool:
+    """Necessary test comparing the stratum dimension with the irrelevant locus.
+
+    Requires that no basis monomial is a coordinate variable.  False on any
+    base stratum implies the system is not quasismooth.  This is the
+    package's former ``qscheck.necessary_screen``; it bounds the verdict
+    from the other side than ``qscheck.sufficient_screen``.
+    """
+    if has_generator_row(sys):
+        raise GeneratorInBasis("necessary screen assumes no generator in the basis")
+    st = base_stratum(sys, c)
+    dim_stratum = sys.num_vars - len(st.variables)
+    return dim_stratum - st.k <= irrelevant_dim_in_stratum(sys.ambient, st.variables)
+
+
 def m_gamma_unrestricted(sys, gamma) -> list[tuple[int, ...]]:
     """Literal reading: all Newton-polytope lattice points with gamma-sum 1.
 
@@ -390,7 +469,7 @@ def m_gamma_unrestricted(sys, gamma) -> list[tuple[int, ...]]:
     gs = tuple(sorted(set(gamma)))
     if not gs:
         raise EmptyGamma("gamma must be nonempty")
-    delta = newton_polytope(sys)
+    delta = hull(sys.exponents)
     return [p for p in lattice_points(delta) if sum(p[j] for j in gs) == 1]
 
 

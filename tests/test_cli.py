@@ -91,6 +91,51 @@ class TestCheckCommand:
         assert code == 2
 
 
+class TestUnreadableFiles:
+    """A file that cannot be read or written is an input error that names it."""
+
+    @staticmethod
+    def assert_input_error(argv, path):
+        for output in ("text", "machine"):
+            code, report = run_cli([*argv, "--output", output])
+            assert code == 2
+            assert str(path) in report
+            assert "internal error" not in report
+            assert ("[error]" in report) == (output == "machine")
+
+    def test_missing_ambient(self, tmp_path):
+        path = tmp_path / "no_such_dir" / "a.txt"
+        monomials = fixture_path("monomials_p2xp1_deg32.txt")
+        self.assert_input_error(["check", "--ambient", str(path), "--monomials", monomials], path)
+
+    def test_missing_monomials(self, tmp_path):
+        path = tmp_path / "missing.txt"
+        self.assert_input_error(check_args("ambient_p2xp1.txt", str(path)), path)
+
+    def test_directory_as_ambient(self, tmp_path):
+        monomials = fixture_path("monomials_p2xp1_deg32.txt")
+        argv = ["strata", "--ambient", str(tmp_path), "--monomials", monomials]
+        self.assert_input_error(argv, tmp_path)
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "mono.txt"
+        path.write_bytes(b"2 1 0 \xff\xfe 0\n")
+        self.assert_input_error(check_args("ambient_p2xp1.txt", str(path)), path)
+        p2 = fixture_path("poly_anticanonical_p2xp1.txt")
+        self.assert_input_error(["goodpair", "--p1", str(path), "--p2", p2], path)
+
+    def test_unwritable_output(self, tmp_path):
+        pair = [
+            "--p1",
+            fixture_path("poly_newton_deg32.txt"),
+            "--p2",
+            fixture_path("poly_anticanonical_p2xp1.txt"),
+        ]
+        path = tmp_path / "no_such_dir" / "amb.txt"
+        self.assert_input_error(["induce", *pair, "--out-ambient", str(path)], path)
+        self.assert_input_error(["induce", *pair, "--out-monomials", str(tmp_path)], tmp_path)
+
+
 class TestValidateCommand:
     def test_valid_inputs(self):
         code, _ = run_cli(

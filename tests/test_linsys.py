@@ -13,7 +13,7 @@ from generators import (
     random_product_system,
     wps_weights_for,
 )
-from oracle import base_locus_strata_scan, in_convex_hull, m_gamma_unrestricted
+from oracle import base_locus_strata_scan, in_convex_hull, m_gamma, m_gamma_unrestricted
 from qsmooth.errors import (
     DuplicateMonomial,
     EmptyGamma,
@@ -27,7 +27,6 @@ from qsmooth.linsys import (
     base_stratum,
     load_system,
     format_monomials,
-    m_gamma,
     monomial_system,
     parse_monomials_text,
 )

@@ -21,7 +21,7 @@ from qsmooth.polytope import (
     LatticePolytope,
     _dedupe,
     _drop_midpoints,
-    _int_hull_data,
+    _hull_parts,
     _scale_to_int,
     format_polytope,
     hull,
@@ -106,6 +106,12 @@ class TestHull:
             hull([(bad, 0), (2, 0), (0, 2)])
 
 
+def _eager_hull_data(pts):
+    """Dimension, facets, equations and vertex flags, with the facets listed now."""
+    dim, equations, flags, list_facets = _hull_parts(pts)
+    return dim, list_facets(), equations, flags
+
+
 def _cubic_monomials(num_vars):
     return [m for m in itertools.product(range(4), repeat=num_vars) if sum(m) == 3]
 
@@ -126,7 +132,7 @@ class TestHullDifferential:
 
     def _check(self, points):
         pts = _dedupe(points)
-        data = _int_hull_data(pts)
+        data = _eager_hull_data(pts)
         assert data == int_hull_data_exhaustive(pts)
         assert hull(pts).facets == tuple(data[1])
         # the same points divided by 3: rational_hull rescales the facets
@@ -134,7 +140,7 @@ class TestHullDifferential:
         thirds = [tuple(Fraction(x, 3) for x in p) for p in pts]
         scaled, scale = _scale_to_int(thirds)
         assert rational_hull(thirds).facets == tuple(
-            Facet(f.normal, Fraction(f.offset, scale)) for f in _int_hull_data(scaled)[1]
+            Facet(f.normal, Fraction(f.offset, scale)) for f in _eager_hull_data(scaled)[1]
         )
         flags = data[3]
         for i, p in enumerate(pts):
@@ -240,7 +246,7 @@ class TestLazyFacets:
         p = hull(EIGHT_ROWS)
         assert sorted(p.vertices) == sorted(EIGHT_ROWS)
         assert "facets" not in p.__dict__
-        assert p.facets == tuple(_int_hull_data(EIGHT_ROWS)[1])
+        assert p.facets == tuple(_eager_hull_data(EIGHT_ROWS)[1])
         assert "_list_facets" not in p.__dict__
 
     def test_equality_and_hash_force_facets(self):

@@ -1,19 +1,20 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 import qsmooth.qscheck as qscheck
 from generators import random_fan_system, random_product_system
-from oracle import check_stratum_rank_unrestricted
+from oracle import check_stratum_rank_unrestricted, m_gamma, necessary_screen
 from qsmooth.errors import (
     DimensionMismatch,
     GeneratorInBasis,
     MethodDisagreement,
     NotBaseStratum,
 )
-from qsmooth.linalg import rank_rational
-from qsmooth.linsys import base_locus_strata, m_gamma, monomial_system
+from qsmooth.linalg import affine_span_dim, rank_rational, vector_sub
+from qsmooth.linsys import base_locus_strata, monomial_system
 from qsmooth.qscheck import (
     has_generator_row,
     FailureReason,
@@ -25,7 +26,6 @@ from qsmooth.qscheck import (
     check_stratum_rank,
     check_surface_on_threefold,
     is_quasismooth,
-    necessary_screen,
     sufficient_screen,
 )
 from qsmooth.toric import Fan, Grading, ToricAmbient, make_wps
@@ -344,6 +344,54 @@ class TestPolytopeWitnessRanks:
         assert witnesses > 300
 
 
+def _polytope_test_by_affine_span(sys_, st):
+    """The polytope test with each span taken by ``affine_span_dim``."""
+    faces = {rho: [sys_.exponents[i] for i in rows] for rho, rows in st.face_supports if rows}
+    if not faces:
+        return StratumFailure(st.variables, FailureReason.ALL_FACES_EMPTY)
+    for size in range(1, len(faces) + 1):
+        for gamma in itertools.combinations(faces, size):
+            span = affine_span_dim(
+                [vector_sub(p, min(faces[rho])) for rho in gamma for p in faces[rho]]
+            )
+            if size > span:
+                return StratumWitness(st.variables, gamma, size, size, size + span)
+    return StratumFailure(st.variables, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
+
+
+class TestStratumRanksDifferential:
+    """The stratum tests take their ranks from an ``Echelon`` directly; compare
+    them with ``rank_rational`` and ``affine_span_dim`` on seeded random fans."""
+
+    def test_random_fan_strata(self):
+        rng = random.Random(4_242)
+        systems = ranks = 0
+        outcomes = set()
+        while systems < 200:
+            out = random_fan_system(rng)
+            if out is None:
+                continue
+            sys_ = out[2]
+            systems += 1
+            for st in base_locus_strata(sys_):
+                supports = st.supports()
+                candidates = [rho for rho in st.variables if supports[rho]]
+                for size in range(1, len(candidates) + 1):
+                    for gamma in itertools.combinations(candidates, size):
+                        rows = qscheck._m_gamma(supports, gamma)
+                        expected = (
+                            rank_rational([tuple(sys_.exponents[i][j] for j in gamma) for i in rows]),
+                            rank_rational([sys_.exponents[i] for i in rows]),
+                        )
+                        assert qscheck._gamma_ranks(sys_, rows, gamma) == expected
+                        ranks += 1
+                res = check_stratum_polytope(sys_, st)
+                assert res == _polytope_test_by_affine_span(sys_, st)
+                outcomes.add(type(res) if isinstance(res, StratumWitness) else res.reason)
+        assert ranks > 300
+        assert len(outcomes) == 3
+
+
 class TestTorsionInvariance:
     def test_added_torsion_rows_change_nothing(self):
         rng = random.Random(5)
@@ -467,8 +515,7 @@ class TestNewtonInvariance:
             checked += 1
 
     def test_filling_in_newton_lattice_points_same_verdict(self):
-        from qsmooth.linsys import newton_polytope
-        from qsmooth.polytope import lattice_points
+        from qsmooth.polytope import hull, lattice_points
 
         rng = random.Random(32)
         checked = 0
@@ -480,7 +527,7 @@ class TestNewtonInvariance:
             if max(max(r) for r in sys_.exponents) > 3:
                 continue
             filled = monomial_system(
-                ambient, lattice_points(newton_polytope(sys_))
+                ambient, lattice_points(hull(sys_.exponents))
             )
             assert (
                 is_quasismooth(filled).quasismooth

@@ -1,7 +1,9 @@
 import pytest
 
 from conftest import fixture_path
-from qsmooth.errors import IrrelevantStratum, ParseError
+from oracle import gradings_equivalent, irrelevant_dim_in_stratum
+from qsmooth.errors import IrrelevantStratum, NotHomogeneous, ParseError
+from qsmooth.linsys import monomial_system
 from qsmooth.linalg import IntMatrix
 from qsmooth.toric import (
     Fan,
@@ -9,12 +11,9 @@ from qsmooth.toric import (
     ToricAmbient,
     class_group,
     format_ambient,
-    gradings_equivalent,
     irrelevant_components,
-    irrelevant_dim_in_stratum,
     is_complete,
     is_fake_wps,
-    is_homogeneous,
     is_simplicial,
     load_ambient,
     make_wps,
@@ -213,21 +212,29 @@ class TestStratumDimensions:
 
 
 class TestHomogeneity:
+    """``monomial_system`` accepts rows of one degree and rejects the rest."""
+
+    @staticmethod
+    def accepts(amb, rows):
+        return monomial_system(amb, rows).exponents == tuple(map(tuple, rows))
+
     def test_product_fixture_rows(self, product_system):
-        assert is_homogeneous(product_system.ambient, product_system.exponents)
+        assert self.accepts(product_system.ambient, product_system.exponents)
 
     def test_different_degrees(self):
         amb = ToricAmbient.from_fan(projective_fan(2))
-        assert not is_homogeneous(amb, [(2, 0, 0), (1, 2, 0)])
+        with pytest.raises(NotHomogeneous):
+            monomial_system(amb, [(2, 0, 0), (1, 2, 0)])
 
     def test_blowup_rows_under_printed_grading(self, blowup_system):
-        assert is_homogeneous(blowup_system.ambient, blowup_system.exponents)
+        assert self.accepts(blowup_system.ambient, blowup_system.exponents)
 
     def test_torsion_detects_odd_difference(self):
         grading = Grading(IntMatrix.from_rows([(1, 1)]), torsion=((2, (1, 0)),))
         amb = ToricAmbient.from_quotient(grading, [(0, 1)])
-        assert is_homogeneous(amb, [(2, 0), (0, 2)])
-        assert not is_homogeneous(amb, [(2, 0), (1, 1)])
+        assert self.accepts(amb, [(2, 0), (0, 2)])
+        with pytest.raises(NotHomogeneous):
+            monomial_system(amb, [(2, 0), (1, 1)])
 
 
 class TestAmbientFormat:
