@@ -26,7 +26,6 @@ from .linalg import (
     IntMatrix,
     SNFResult,
     affine_span_dim,
-    in_row_space,
     rank_rational,
     smith_normal_form,
 )

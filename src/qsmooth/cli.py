@@ -78,10 +78,13 @@ def _system_header(cfg: RunConfig, sys_: _linsys.MonomialSystem) -> None:
 
 def _emit_verdict(cfg: RunConfig, sys_, verdict: _qscheck.QSVerdict) -> int:
     if cfg.output == "machine":
-        for line in _qscheck.certificate_lines(verdict):
-            if line.startswith("[stratum ") and not cfg.witness:
-                break
-            cfg.emit(line)
+        lines = _qscheck.certificate_lines(verdict)
+        if not cfg.witness:
+            lines = lines[: next(
+                (i for i, line in enumerate(lines) if line.startswith("[stratum ")),
+                len(lines),
+            )]
+        cfg.lines += lines
     else:
         status = "quasismooth" if verdict.quasismooth else "NOT quasismooth"
         cfg.emit(f"verdict: {status} (method {verdict.method.value})")

@@ -65,10 +65,6 @@ class NotBaseStratum(QsmoothError):
     """Variable subset is not a stratum of the base locus."""
 
 
-class EmptyGamma(QsmoothError):
-    """A nonempty variable subset was required."""
-
-
 class NotHomogeneous(QsmoothError):
     """Monomials do not share a common degree; carries the offending pair."""
 

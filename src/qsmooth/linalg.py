@@ -2,15 +2,14 @@
 
 All arithmetic uses arbitrary-precision Python integers; no floating
 point appears anywhere in the package.  Everything over the rationals
-(ranks, affine spans, row-space membership, kernels and solves) goes
+(ranks, affine spans, kernels and solves) goes
 through one elimination kernel, :class:`Echelon`: a fraction-free row
 echelon form that takes rows one at a time and reports whether each one
 raised the rank.  Kernel vectors are read off it by back substitution, and
 the unique solution of a square system is the kernel vector of the
 augmented matrix at its last column, so a solve stays in integers until
 one final division per coordinate yields a :class:`fractions.Fraction`.
-Row-space membership is tested over the rationals only.  The Smith
-normal form works over the integers and has its own loop.
+The Smith normal form works over the integers and has its own loop.
 """
 
 from __future__ import annotations
@@ -363,17 +362,6 @@ def affine_span_dim(points: Sequence[Sequence[int]]) -> int:
     for p in rest:
         e.add(vector_sub(p, base))
     return e.rank
-
-
-def in_row_space(v: Sequence[int], matrix: IntMatrix | Sequence[Sequence[int]]) -> bool:
-    """Membership of v in the rational row span of a matrix."""
-    rows = matrix.entries if isinstance(matrix, IntMatrix) else _as_int_rows(matrix)
-    v = _int_vector(v)
-    if rows and len(v) != len(rows[0]):
-        raise DimensionMismatch("vector length does not match matrix width")
-    if not any(v):
-        return True
-    return bool(rows) and not _echelon(rows, len(v)).add(v)
 
 
 def solve_rational(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...]:

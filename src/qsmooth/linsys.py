@@ -7,7 +7,11 @@ non-vertex rows change neither the base locus nor any downstream verdict,
 and computing supports on vertex rows keeps the full matrix and its
 vertex-row submatrix literally interchangeable.  ``BaseStratum`` is the
 one stratum object of the package: every check and screen reads its
-variables, face supports and face count ``k``, built in one place.
+variables, face supports and face count ``k``, built in one place.  A
+face depends on its stratum only through a few variables, so a
+``FaceTable`` builds each distinct face once per listing and every stratum
+that has it shares the same object; the stratum tests keep their per-face
+results on that table, so they too are computed once per listing.
 
 Base strata are the relevant variable subsets that meet the support of
 every vertex row, i.e. the relevant transversals of the row supports.
@@ -25,7 +29,8 @@ k-th variable).  ``#`` starts a comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import polytope as _poly
@@ -75,7 +80,8 @@ def monomial_system(
 
     When the rows are affinely independent (as for every square system with
     an invertible exponent matrix) each row is a vertex and the hull is
-    skipped; otherwise the vertices come from ``polytope.hull``, an exact
+    skipped.  More than r + 1 rows in Q^r never are, so they skip that test
+    instead.  Otherwise the vertices come from ``polytope.hull``, an exact
     beneath-beyond hull.  Only the hull's vertices are read, so its facet
     inequalities, which are listed on first read, are never computed.  A
     non-integral exponent raises ``ValueError``.
@@ -104,7 +110,7 @@ def monomial_system(
         diff = ambient.grading.degree_difference(exps[0], other)
         if any(diff):
             raise NotHomogeneous(0, i, diff)
-    if affine_span_dim(exps) == len(exps) - 1:
+    if len(exps) <= ambient.num_vars + 1 and affine_span_dim(exps) == len(exps) - 1:
         # Affinely independent rows are all vertices of their hull.
         vertex_rows = tuple(range(len(exps)))
     else:
@@ -113,7 +119,7 @@ def monomial_system(
     return MonomialSystem(ambient=ambient, exponents=exps, vertex_rows=vertex_rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseStratum:
     """A relevant zero pattern contained in the base locus.
 
@@ -121,18 +127,74 @@ class BaseStratum:
     whose exponent is 1 there and 0 on the rest of the stratum; ``k`` counts
     the variables with nonempty support.  Iterating yields the variables.
     ``base_locus_strata`` lists them; ``base_stratum`` builds one from a
-    plain tuple of variables.
+    plain tuple of variables.  ``table`` is the ``FaceTable`` the faces
+    came from, shared by every stratum of one listing; it takes no part in
+    equality, hashing or ``repr``.
     """
 
     variables: tuple[int, ...]
     face_supports: tuple[tuple[int, tuple[int, ...]], ...]
     k: int
+    table: FaceTable | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.variables)
 
     def supports(self) -> Mapping[int, tuple[int, ...]]:
         return dict(self.face_supports)
+
+
+class FaceTable:
+    """The faces of one system's strata, each built once and shared.
+
+    The face at rho of a stratum C holds the vertex rows with exponent 1 at
+    rho that vanish on the rest of C.  Only the other support variables of
+    the rows with exponent 1 at rho can exclude a row, so the face depends
+    on C only through its meet with their union R_rho.  The table keys each
+    rho's faces by that meet, and every distinct ``(rho, rows)`` pair is one
+    tuple object, whichever strata contain it.  ``caches[name]`` is one
+    stratum test's result store, keyed by face; like the faces, it lives
+    as long as the table.
+    """
+
+    __slots__ = ("supports", "_candidates", "_reach", "_faces", "_interned", "caches")
+
+    def __init__(self, sys: MonomialSystem):
+        r = sys.num_vars
+        self.supports: list[int] = []  # the support mask of each vertex row
+        # per rho: (row, mask of the row's other support variables)
+        self._candidates: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+        self._reach = [0] * r  # R_rho
+        for i in sys.vertex_rows:
+            row = sys.exponents[i]
+            support = _mask(j for j, x in enumerate(row) if x)
+            self.supports.append(support)
+            for rho, x in enumerate(row):
+                if x == 1:
+                    others = support & ~(1 << rho)
+                    self._candidates[rho].append((i, others))
+                    self._reach[rho] |= others
+        self._faces: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(r)]
+        self._interned: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
+        self.caches: defaultdict[str, dict] = defaultdict(dict)
+
+    def stratum(self, cmask: int) -> BaseStratum:
+        """The stratum on the variables of the bitmask ``cmask``."""
+        reach, tables = self._reach, self._faces
+        variables = [rho for rho in range(len(reach)) if cmask >> rho & 1]
+        faces = [tables[rho].get(cmask & reach[rho]) for rho in variables]
+        if None in faces:
+            for n, rho in enumerate(variables):
+                if faces[n] is None:
+                    faces[n] = self._face(rho, cmask & reach[rho])
+        k = len(faces) - [rows for _, rows in faces].count(())
+        return BaseStratum(tuple(variables), tuple(faces), k, self)
+
+    def _face(self, rho: int, key: int) -> tuple[int, tuple[int, ...]]:
+        """Build, intern and file the face at rho for the key ``C & R_rho``."""
+        rows = tuple(i for i, others in self._candidates[rho] if not others & key)
+        face = self._faces[rho][key] = self._interned.setdefault((rho, rows), (rho, rows))
+        return face
 
 
 def _hits(row: Row, c: Iterable[int]) -> bool:
@@ -146,31 +208,6 @@ def _mask(variables: Iterable[int]) -> int:
     return m
 
 
-def _vertex_masks(sys: MonomialSystem) -> list[tuple[int, int, int]]:
-    """(row, support mask, mask of the exponent-1 variables) per vertex row."""
-    out = []
-    for i in sys.vertex_rows:
-        row = sys.exponents[i]
-        out.append((
-            i,
-            _mask(j for j, x in enumerate(row) if x),
-            _mask(j for j, x in enumerate(row) if x == 1),
-        ))
-    return out
-
-
-def _stratum_on(masks, c: tuple[int, ...], cmask: int) -> BaseStratum:
-    """The stratum C with its face supports: a row supports rho when it
-    meets C only at rho, with exponent 1 there."""
-    supports: dict[int, tuple[int, ...]] = dict.fromkeys(c, ())
-    for i, support, ones in masks:
-        t = support & cmask
-        if t & ones and not t & (t - 1):
-            supports[t.bit_length() - 1] += (i,)
-    k = sum(1 for rows in supports.values() if rows)
-    return BaseStratum(variables=c, face_supports=tuple(supports.items()), k=k)
-
-
 def base_locus_strata(sys: MonomialSystem) -> list[BaseStratum]:
     """All relevant zero patterns on which every vertex monomial vanishes.
 
@@ -180,12 +217,14 @@ def base_locus_strata(sys: MonomialSystem) -> list[BaseStratum]:
     The search decides the variables in index order, putting each one in C
     or leaving it out.  It drops a branch as soon as putting a variable in
     completes an irrelevant component, or leaving it out leaves some row
-    support that no undecided variable can meet any more.  The result is
-    ordered by size, then lexicographically, like ``relevant_subsets``.
+    support that no undecided variable can meet any more; a decision with
+    only one open branch is taken in place.  The result is ordered by
+    size, then lexicographically, like ``relevant_subsets``, and its
+    strata share one ``FaceTable``.
     """
     r = sys.num_vars
-    masks = _vertex_masks(sys)
-    rows = {support for _, support, _ in masks}
+    table = FaceTable(sys)
+    rows = set(table.supports)
     comps = [_mask(c) for c in sys.ambient.irrelevant]
     if 0 in rows or 0 in comps:
         return []
@@ -201,21 +240,25 @@ def base_locus_strata(sys: MonomialSystem) -> list[BaseStratum]:
     found: list[int] = []
 
     def search(j: int, chosen: int) -> None:
-        if j == r:
-            found.append(chosen)
-            return
-        taken = chosen | 1 << j
-        if not any(comp & taken == comp for comp in comps_ending[j]):
-            search(j + 1, taken)
-        if all(m & chosen for m in rows_ending[j]):
-            search(j + 1, chosen)
+        while j < r:
+            taken = chosen | 1 << j
+            comps_j, rows_j = comps_ending[j], rows_ending[j]
+            can_take = not comps_j or not any(comp & taken == comp for comp in comps_j)
+            if not rows_j or all(m & chosen for m in rows_j):
+                if can_take:
+                    search(j + 1, taken)
+            elif can_take:
+                chosen = taken
+            else:
+                return
+            j += 1
+        found.append(chosen)
 
     search(0, 0)
-    patterns = sorted(
-        ((tuple(j for j in range(r) if cmask >> j & 1), cmask) for cmask in found),
-        key=lambda p: (len(p[0]), p[0]),
-    )
-    return [_stratum_on(masks, c, cmask) for c, cmask in patterns]
+    # The search tries "in" before "out", so strata of one size are found
+    # in lexicographic order and a stable sort by size finishes the order.
+    found.sort(key=int.bit_count)
+    return [table.stratum(cmask) for cmask in found]
 
 
 def is_base_stratum(sys: MonomialSystem, c: Iterable[int]) -> bool:
@@ -231,14 +274,15 @@ def base_stratum(sys: MonomialSystem, c: Iterable[int]) -> BaseStratum:
     The face polytope at rho is the hull of the supporting rows shifted by
     -e_rho; it is a face of the Newton polytope, so vertex rows suffice.
     A ``BaseStratum`` (as listed by ``base_locus_strata``) is returned as
-    it is; any other iterable of variables is validated first.
+    it is; any other iterable of variables is validated first and gets a
+    ``FaceTable`` of its own.
     """
     if isinstance(c, BaseStratum):
         return c
     cs = tuple(sorted(set(c)))
     if not is_base_stratum(sys, cs):
         raise NotBaseStratum(f"{cs} is not a base-locus stratum")
-    return _stratum_on(_vertex_masks(sys), cs, _mask(cs))
+    return FaceTable(sys).stratum(_mask(cs))
 
 
 # ---------------------------------------------------------------------------

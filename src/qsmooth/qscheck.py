@@ -12,6 +12,14 @@ Both enumerate gamma by increasing size and then lexicographically, so
 certificates are deterministic and diffable.  A disagreement between the
 two is raised as an error, never resolved silently.
 
+A single-face gamma depends on its face alone, and the strata of one
+listing share their faces (``linsys.FaceTable``).  So each test keeps one
+result per face on the listing's table: the rank test its two ranks, the
+polytope test the face's translated points and their span.  A gamma of
+several faces is still ranked on its own, from those points under the
+polytope test.  The two tests keep separate stores, so under ``both`` each
+computes every face itself and whole results are compared as before.
+
 Strata are quantified over relevant zero patterns; on non-simplicial fans
 this is a conservative superset of the per-cone strata.  Specialized
 closed-form checkers for curves on surfaces and surfaces on simplicial
@@ -49,7 +57,7 @@ class FailureReason(str, Enum):
     NO_DEGENERATE_SUBCOLLECTION = "no_degenerate_subcollection"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StratumWitness:
     """Certificate that a stratum passes: gamma with 2*rank_small > rank_big."""
 
@@ -98,24 +106,55 @@ def _m_gamma(supports, gamma: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(i for rho in gamma for i in supports[rho]))
 
 
+def _face_results(st: _linsys.BaseStratum, test: str) -> dict:
+    """One test's results per face, shared by the strata of ``st``'s listing."""
+    return st.table.caches[test] if st.table is not None else {}
+
+
 def check_stratum_rank(
     sys: _linsys.MonomialSystem, c: Iterable[int]
 ) -> StratumWitness | StratumFailure:
     """Rank test for one stratum.
 
     ``c`` is a ``BaseStratum`` or an iterable of variables (validated).
+    The ranks of a single-face gamma depend on the face alone, so they
+    are computed once per face of the listing and shared by every stratum
+    that has that face.
     """
     st = _linsys.base_stratum(sys, c)
-    cs, supports = st.variables, st.supports()
+    cs = st.variables
+    ranks = _face_results(st, "rank")
+    for face in st.face_supports:
+        if not face[1]:
+            continue
+        got = ranks.get(face)
+        if got is None:
+            rho, rows = face
+            got = ranks[face] = _gamma_ranks(sys, rows, (rho,))
+        small, big = got
+        if 2 * small > big:
+            return StratumWitness(cs, (face[0],), 1, small, big)
+    supports = st.supports()
     candidates = [rho for rho in cs if supports[rho]]
     if not candidates:
         return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
-    for size in range(1, len(candidates) + 1):
+    for size in range(2, len(candidates) + 1):
         for gamma in itertools.combinations(candidates, size):
             small, big = _gamma_ranks(sys, _m_gamma(supports, gamma), gamma)
             if 2 * small > big:
                 return StratumWitness(cs, gamma, len(gamma), small, big)
     return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
+
+
+def _translated_face(sys: _linsys.MonomialSystem, rows: Sequence[int]):
+    """A face's points minus its base point, and the dimension they span."""
+    pts = [sys.exponents[i] for i in rows]
+    base = min(pts)
+    translated = [vector_sub(p, base) for p in pts if p != base]
+    span = Echelon(sys.num_vars)
+    for p in translated:
+        span.add(p)
+    return translated, span.rank
 
 
 def check_stratum_polytope(
@@ -129,7 +168,9 @@ def check_stratum_polytope(
     base point, so that span is the rank of the other translated points.
     Base points are the lexicographically smallest supporting rows; the
     span dimension does not depend on that choice.  ``c`` is a
-    ``BaseStratum`` or an iterable of variables (validated).
+    ``BaseStratum`` or an iterable of variables (validated).  Each face's
+    translated points and span are computed once per face of the listing;
+    a gamma of several faces ranks the union of its faces' points.
 
     The witness ranks need no elimination of their own.  A row of
     ``M_gamma`` that supports the face rho is the unit vector e_rho on C.
@@ -139,17 +180,22 @@ def check_stratum_polytope(
     """
     st = _linsys.base_stratum(sys, c)
     cs = st.variables
+    spans = _face_results(st, "polytope")
     translated = {}
-    for rho, rows in st.face_supports:
-        pts = [sys.exponents[i] for i in rows]
-        if pts:
-            base = min(pts)
-            translated[rho] = [vector_sub(p, base) for p in pts if p != base]
+    for face in st.face_supports:
+        if not face[1]:
+            continue
+        got = spans.get(face)
+        if got is None:
+            got = spans[face] = _translated_face(sys, face[1])
+        points, span = got
+        if span < 1:
+            return StratumWitness(cs, (face[0],), 1, 1, 1 + span)
+        translated[face[0]] = points
     if not translated:
         return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
-    support_vars = list(translated)
-    for size in range(1, len(support_vars) + 1):
-        for gamma in itertools.combinations(support_vars, size):
+    for size in range(2, len(translated) + 1):
+        for gamma in itertools.combinations(translated, size):
             union = Echelon(sys.num_vars)
             for rho in gamma:
                 for p in translated[rho]:
@@ -330,11 +376,17 @@ def certificate_lines(verdict: QSVerdict) -> list[str]:
         lines.append("[failing_stratum]")
         lines.append("vars = " + " ".join(f"x{i + 1}" for i in f.stratum))
         lines.append(f"reason = {f.reason.value}")
+    # every witness stratum lies in the variables 0..top
+    top = max((w.stratum[-1] for w in verdict.witnesses), default=-1)
+    names = [f"x{i + 1}" for i in range(top + 1)]
+    name = names.__getitem__
     for idx, w in enumerate(verdict.witnesses, start=1):
-        lines.append(f"[stratum {idx}]")
-        lines.append("vars = " + " ".join(f"x{i + 1}" for i in w.stratum))
-        lines.append("gamma = " + " ".join(f"x{i + 1}" for i in w.gamma))
-        lines.append(f"k = {w.k}")
-        lines.append(f"rank_small = {w.rank_small}")
-        lines.append(f"rank_big = {w.rank_big}")
+        lines += (
+            f"[stratum {idx}]",
+            "vars = " + " ".join(map(name, w.stratum)),
+            "gamma = " + " ".join(map(name, w.gamma)),
+            f"k = {w.k}",
+            f"rank_small = {w.rank_small}",
+            f"rank_big = {w.rank_big}",
+        )
     return lines

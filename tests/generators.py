@@ -1,13 +1,14 @@
-"""Seeded random generators for ambients, systems and polytopes."""
+"""Seeded random generators and enumerators of ambients, systems and polytopes."""
 
 from __future__ import annotations
 
 import random
 from math import atan2, gcd
+from pathlib import Path
 
-from qsmooth import Fan, ToricAmbient, hull, is_canonical, monomial_system
+from qsmooth import Fan, ToricAmbient, hull, is_canonical, load_system, monomial_system
 from qsmooth.delsarte import AtomicType, AtomKind
-from qsmooth.errors import QsmoothError
+from qsmooth.errors import NotHomogeneous, ParseError, QsmoothError
 
 
 def _primitive(v):
@@ -264,3 +265,65 @@ def wps_weights_for(rows):
     for w in weights:
         g = gcd(g, w)
     return tuple(w // g for w in weights), lcm // g
+
+
+def _sorted_partitions(total: int, parts: int, smallest: int = 1):
+    """Nondecreasing tuples of ``parts`` integers >= ``smallest`` summing to ``total``."""
+    if parts == 1:
+        if total >= smallest:
+            yield (total,)
+        return
+    for first in range(smallest, total // parts + 1):
+        for rest in _sorted_partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def calabi_yau_candidates(n: int, max_degree: int):
+    """Weight systems whose general degree-sum member might be quasismooth.
+
+    Yields ``(weights, degree)`` for sorted weights of ``n`` variables with
+    gcd 1 and ``degree = sum(weights) <= max_degree``, keeping those where
+    every ``w_i`` divides ``d`` or ``d - w_j`` for some ``j``.  That is
+    necessary: the coordinate point of ``x_i`` needs a monomial ``x_i^a``
+    or ``x_i^a x_j`` of degree ``d``.
+    """
+    for degree in range(n, max_degree + 1):
+        for weights in _sorted_partitions(degree, n):
+            g = 0
+            for w in weights:
+                g = gcd(g, w)
+            if g != 1:
+                continue
+            if all(
+                degree % w == 0 or any((degree - v) % w == 0 for v in weights)
+                for w in weights
+            ):
+                yield weights, degree
+
+
+def complete_wps_system(weights, degree):
+    """All monomials of the given degree on P(weights)."""
+    from qsmooth.toric import make_wps
+
+    return monomial_system(make_wps(weights), _monomials_of_degree(tuple(weights), degree))
+
+
+def fixture_systems():
+    """Every ambient x monomials pair of the fixture directory that loads."""
+    fixtures = Path(__file__).parent / "fixtures"
+    systems = []
+    for ambient in sorted(fixtures.glob("ambient_*.txt")):
+        for monomials in sorted(fixtures.glob("monomials_*.txt")):
+            try:
+                systems.append(load_system(str(ambient), str(monomials)))
+            except (NotHomogeneous, ParseError, ValueError):
+                continue
+    return systems
+
+
+def loop_system(r):
+    """x_i^3 x_(i+1) (indices mod r) on P^(r-1)."""
+    from qsmooth.toric import make_wps
+
+    rows = [tuple(3 if j == i else 1 if j == (i + 1) % r else 0 for j in range(r)) for i in range(r)]
+    return monomial_system(make_wps([1] * r), rows)

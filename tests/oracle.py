@@ -16,14 +16,23 @@ from math import gcd
 
 from qsmooth.errors import (
     DimensionMismatch,
-    EmptyGamma,
     EmptyInput,
     GeneratorInBasis,
     NotBaseStratum,
     NotFakeWPS,
     SingularMatrix,
 )
-from qsmooth.linalg import dot, gcd_vector, smith_normal_form, vector_sub
+from qsmooth.errors import QsmoothError
+from qsmooth.linalg import (
+    Echelon,
+    IntMatrix,
+    _as_int_rows,
+    _int_vector,
+    dot,
+    gcd_vector,
+    smith_normal_form,
+    vector_sub,
+)
 from qsmooth.linsys import BaseStratum, base_stratum, is_base_stratum
 from qsmooth.polytope import Equation, Facet, hull, lattice_points
 from qsmooth.qscheck import (
@@ -380,6 +389,28 @@ def solve_gauss_jordan(matrix, rhs) -> tuple[Fraction, ...]:
     return tuple(Fraction(row[n], prev) for row in a)
 
 
+class EmptyGamma(QsmoothError):
+    """A nonempty variable subset was required; only the oracles raise it."""
+
+
+def in_row_space(v, matrix) -> bool:
+    """Membership of v in the rational row span of a matrix.
+
+    This is the package's former ``linalg.in_row_space``, on the package's
+    ``Echelon``: v is in the span iff adding it does not raise the rank.
+    """
+    rows = matrix.entries if isinstance(matrix, IntMatrix) else _as_int_rows(matrix)
+    v = _int_vector(v)
+    if rows and len(v) != len(rows[0]):
+        raise DimensionMismatch("vector length does not match matrix width")
+    if not any(v):
+        return True
+    span = Echelon(len(v))
+    for row in rows:
+        span.add(row)
+    return bool(rows) and not span.add(v)
+
+
 def in_integer_row_space(v, rows) -> bool:
     """Membership of v in the integer row span of a matrix, by its Smith form.
 
@@ -527,6 +558,83 @@ def base_locus_strata_scan(sys) -> list[BaseStratum]:
         k = sum(1 for _, rows in supports if rows)
         strata.append(BaseStratum(variables=c, face_supports=supports, k=k))
     return strata
+
+
+def stratum_on_scan(sys, c) -> BaseStratum:
+    """The stratum C with its face supports, by scanning every vertex row.
+
+    This is the package's former ``linsys._stratum_on``: a row supports rho
+    when its support meets C only at rho, with exponent 1 there.  It builds
+    every face afresh, with no table and no sharing between strata.
+    """
+    cs = tuple(sorted(set(c)))
+    if not is_base_stratum(sys, cs):
+        raise NotBaseStratum(f"{cs} is not a base-locus stratum")
+    cmask = sum(1 << j for j in cs)
+    supports = dict.fromkeys(cs, ())
+    for i in sys.vertex_rows:
+        row = sys.exponents[i]
+        t = sum(1 << j for j, x in enumerate(row) if x) & cmask
+        ones = sum(1 << j for j, x in enumerate(row) if x == 1)
+        if t & ones and not t & (t - 1):
+            supports[t.bit_length() - 1] += (i,)
+    k = sum(1 for rows in supports.values() if rows)
+    return BaseStratum(variables=cs, face_supports=tuple(supports.items()), k=k)
+
+
+def _gamma_ranks_fresh(sys, rows, gamma):
+    small, big = Echelon(len(gamma)), Echelon(sys.num_vars)
+    for i in rows:
+        row = sys.exponents[i]
+        small.add([row[j] for j in gamma])
+        big.add(row)
+    return small.rank, big.rank
+
+
+def check_stratum_rank_uncached(sys, c):
+    """The package's former ``qscheck.check_stratum_rank``, on ``stratum_on_scan``.
+
+    Every gamma, single faces included, is ranked afresh.
+    """
+    st = stratum_on_scan(sys, c)
+    cs, supports = st.variables, st.supports()
+    candidates = [rho for rho in cs if supports[rho]]
+    if not candidates:
+        return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
+    for size in range(1, len(candidates) + 1):
+        for gamma in itertools.combinations(candidates, size):
+            rows = sorted(i for rho in gamma for i in supports[rho])
+            small, big = _gamma_ranks_fresh(sys, rows, gamma)
+            if 2 * small > big:
+                return StratumWitness(cs, gamma, len(gamma), small, big)
+    return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
+
+
+def check_stratum_polytope_uncached(sys, c):
+    """The package's former ``qscheck.check_stratum_polytope``, on ``stratum_on_scan``.
+
+    Every face is translated and every gamma's span is ranked afresh.
+    """
+    st = stratum_on_scan(sys, c)
+    cs = st.variables
+    translated = {}
+    for rho, rows in st.face_supports:
+        pts = [sys.exponents[i] for i in rows]
+        if pts:
+            base = min(pts)
+            translated[rho] = [vector_sub(p, base) for p in pts if p != base]
+    if not translated:
+        return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
+    for size in range(1, len(translated) + 1):
+        for gamma in itertools.combinations(translated, size):
+            union = Echelon(sys.num_vars)
+            for rho in gamma:
+                for p in translated[rho]:
+                    union.add(p)
+            span, k = union.rank, len(gamma)
+            if k > span:
+                return StratumWitness(cs, gamma, k, k, k + span)
+    return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
 
 
 def wps_check_subsets(sys) -> QSVerdict:

@@ -5,6 +5,7 @@ import pytest
 
 import qsmooth.polytope
 from generators import random_canonical_polytope
+from oracle import in_row_space
 from qsmooth.duality import (
     dual_pair,
     duality_qs_report,
@@ -13,7 +14,7 @@ from qsmooth.duality import (
     quasismooth_implies_good,
 )
 from qsmooth.errors import NonIntegralDual, PointOutsideP2
-from qsmooth.linalg import in_row_space, vector_sub
+from qsmooth.linalg import vector_sub
 from qsmooth.polytope import hull, is_canonical, lattice_points
 from qsmooth.qscheck import is_quasismooth
 

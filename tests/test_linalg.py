@@ -10,6 +10,7 @@ from oracle import (
     affine_span_dim_bareiss,
     det_fraction,
     in_integer_row_space,
+    in_row_space,
     kernel_gauss_jordan,
     rank_bareiss,
     solve_fraction,
@@ -25,7 +26,6 @@ from qsmooth.linalg import (
     Echelon,
     IntMatrix,
     affine_span_dim,
-    in_row_space,
     rank_rational,
     rational_kernel_basis,
     smith_normal_form,

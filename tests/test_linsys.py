@@ -4,19 +4,20 @@ import time
 
 import pytest
 
+import qsmooth.linsys
 import qsmooth.polytope
-from conftest import FIXTURES
 from generators import (
     enumerate_atomic_sums,
+    fixture_systems,
+    loop_system,
     random_atomic_sum,
     random_fan_system,
     random_product_system,
     wps_weights_for,
 )
-from oracle import base_locus_strata_scan, in_convex_hull, m_gamma, m_gamma_unrestricted
+from oracle import EmptyGamma, base_locus_strata_scan, in_convex_hull, m_gamma, m_gamma_unrestricted
 from qsmooth.errors import (
     DuplicateMonomial,
-    EmptyGamma,
     NotBaseStratum,
     NotHomogeneous,
     ParseError,
@@ -25,7 +26,6 @@ from qsmooth.linsys import (
     BaseStratum,
     base_locus_strata,
     base_stratum,
-    load_system,
     format_monomials,
     monomial_system,
     parse_monomials_text,
@@ -146,6 +146,50 @@ class TestVertexRowsWithoutFacets:
                 assert sys_.vertex_rows == _oracle_vertex_rows(sys_.exponents)
 
 
+class TestAffineTestSkipped:
+    """More than r + 1 points in Q^r are never affinely independent, so
+    ``monomial_system`` goes straight to the hull for them."""
+
+    @staticmethod
+    def _refuse_affine_test(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("affine_span_dim was called")
+
+        monkeypatch.setattr(qsmooth.linsys, "affine_span_dim", refuse)
+
+    def test_cubic_monomial_subsets(self, monkeypatch):
+        rng = random.Random(95_959)
+        self._refuse_affine_test(monkeypatch)
+        for num_vars in range(2, 7):
+            pool = [m for m in itertools.product(range(4), repeat=num_vars) if sum(m) == 3]
+            for _ in range(6):
+                rows = rng.sample(pool, rng.randint(num_vars + 2, min(len(pool), num_vars + 8)))
+                sys_ = monomial_system(make_wps([1] * num_vars), rows)
+                assert sys_.vertex_rows == _oracle_vertex_rows(sys_.exponents)
+
+    def test_random_fan_and_product_systems(self, monkeypatch):
+        rng = random.Random(96_969)
+        draws = [random_product_system(rng, [2, 2], max_monomials=12) for _ in range(40)]
+        while len(draws) < 100:
+            out = random_fan_system(rng)
+            if out is not None:
+                draws.append(out[2])
+        wide = [s for s in draws if s.num_monomials > s.num_vars + 1]
+        assert len(wide) >= 20
+        self._refuse_affine_test(monkeypatch)
+        for sys_ in wide:
+            rebuilt = monomial_system(sys_.ambient, sys_.exponents)
+            assert rebuilt.vertex_rows == _oracle_vertex_rows(sys_.exponents)
+
+    def test_square_systems_still_take_the_shortcut(self, monkeypatch):
+        calls, real = [], qsmooth.linsys.affine_span_dim
+        monkeypatch.setattr(
+            qsmooth.linsys, "affine_span_dim", lambda pts: calls.append(pts) or real(pts)
+        )
+        sys_ = loop_system(5)
+        assert len(calls) == 1 and sys_.vertex_rows == tuple(range(5))
+
+
 class TestBaseLocusStrata:
     def test_product_fixture(self, product_system):
         strata = [st.variables for st in base_locus_strata(product_system)]
@@ -170,23 +214,6 @@ class TestBaseLocusStrata:
         for st in base_locus_strata(p4_system):
             for row in p4_system.exponents:
                 assert sum(row[j] for j in st.variables) >= 1
-
-
-def _fixture_systems():
-    systems = []
-    for ambient in sorted(FIXTURES.glob("ambient_*.txt")):
-        for monomials in sorted(FIXTURES.glob("monomials_*.txt")):
-            try:
-                systems.append(load_system(str(ambient), str(monomials)))
-            except (NotHomogeneous, ParseError, ValueError):
-                continue
-    return systems
-
-
-def _loop_system(r):
-    """x_i^3 x_(i+1) (indices mod r) on P^(r-1)."""
-    rows = [tuple(3 if j == i else 1 if j == (i + 1) % r else 0 for j in range(r)) for i in range(r)]
-    return monomial_system(make_wps([1] * r), rows)
 
 
 def _verdict_on_plain_tuples(sys_, method):
@@ -219,7 +246,7 @@ class TestBaseStrataDifferential:
         return strata
 
     def test_fixtures(self):
-        systems = _fixture_systems()
+        systems = fixture_systems()
         assert len(systems) >= 7
         assert sum(len(self._same(sys_)) for sys_ in systems) > 0
 
@@ -256,7 +283,7 @@ class TestBaseStrataDifferential:
 
     def test_certificates_match_checks_on_plain_tuples(self):
         rng = random.Random(44_444)
-        systems = _fixture_systems()
+        systems = fixture_systems()
         systems += [random_product_system(rng, [2, 3]) for _ in range(20)]
         while len(systems) < 120:
             out = random_fan_system(rng)
@@ -301,7 +328,7 @@ class TestBaseStratumFromTuple:
         return len(strata)
 
     def test_fixtures(self):
-        assert sum(self._same(sys_) for sys_ in _fixture_systems()) > 0
+        assert sum(self._same(sys_) for sys_ in fixture_systems()) > 0
 
     def test_random_fan_systems(self):
         rng = random.Random(45_454)
@@ -324,19 +351,19 @@ class TestLoopSystemScaling:
         while len(lucas) <= 18:
             lucas.append(lucas[-1] + lucas[-2])
         for r in range(3, 19):
-            assert len(base_locus_strata(_loop_system(r))) == lucas[r] - 1
+            assert len(base_locus_strata(loop_system(r))) == lucas[r] - 1
         assert lucas[18] - 1 == 5777
 
     def test_small_cycles_match_the_scan(self):
         for r in range(3, 10):
-            sys_ = _loop_system(r)
+            sys_ = loop_system(r)
             assert base_locus_strata(sys_) == base_locus_strata_scan(sys_)
 
     def test_eighteen_variables_within_budget(self):
         # On a 2-core x86-64 host with Python 3.11 the subset scan this
         # replaced took 1.8-2.6 s for the strata and 3.1-4.9 s for the
         # check; the bitmask search takes about 0.1 s and 0.35 s there.
-        sys_ = _loop_system(18)
+        sys_ = loop_system(18)
         start = time.perf_counter()
         strata = base_locus_strata(sys_)
         strata_s = time.perf_counter() - start
