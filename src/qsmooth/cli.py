@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import delsarte as _delsarte
 from . import duality as _duality
@@ -78,13 +78,8 @@ def _system_header(cfg: RunConfig, sys_: _linsys.MonomialSystem) -> None:
 
 def _emit_verdict(cfg: RunConfig, sys_, verdict: _qscheck.QSVerdict) -> int:
     if cfg.output == "machine":
-        lines = _qscheck.certificate_lines(verdict)
-        if not cfg.witness:
-            lines = lines[: next(
-                (i for i, line in enumerate(lines) if line.startswith("[stratum ")),
-                len(lines),
-            )]
-        cfg.lines += lines
+        shown = verdict if cfg.witness else replace(verdict, witnesses=())
+        cfg.lines += _qscheck.certificate_lines(shown)
     else:
         status = "quasismooth" if verdict.quasismooth else "NOT quasismooth"
         cfg.emit(f"verdict: {status} (method {verdict.method.value})")
@@ -306,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--output", choices=["text", "machine"], default="text",
             help="report format",
         )
-        p.add_argument(
-            "--witness", action="store_true",
-            help="include per-stratum certificates in the report",
-        )
         return p
 
-    add("check", "decide quasismoothness", system=True, method=True)
+    check = add("check", "decide quasismoothness", system=True, method=True)
+    check.add_argument(
+        "--witness", action="store_true",
+        help="include per-stratum certificates in the report",
+    )
     add("strata", "list base-locus strata", system=True)
     add("validate", "parse and validate inputs", system=True)
     add("delsarte", "classify a square system into atomic types", system=True)
@@ -335,7 +330,7 @@ def config_from_args(argv) -> RunConfig:
         p2_path=getattr(args, "p2", None),
         method=getattr(args, "method", "both"),
         output=args.output,
-        witness=args.witness,
+        witness=getattr(args, "witness", False),
         out_ambient=getattr(args, "out_ambient", None),
         out_monomials=getattr(args, "out_monomials", None),
     )

@@ -127,6 +127,10 @@ class PointOutsideP2(QsmoothError):
     """A lattice point maps to a negative exponent."""
 
 
+class BoxTooLarge(QsmoothError):
+    """A lattice-point scan would visit more points than the package allows."""
+
+
 class NotLatticePolytope(QsmoothError):
     """A lattice polytope was required but a vertex is not integral."""
 

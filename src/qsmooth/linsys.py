@@ -10,8 +10,8 @@ one stratum object of the package: every check and screen reads its
 variables, face supports and face count ``k``, built in one place.  A
 face depends on its stratum only through a few variables, so a
 ``FaceTable`` builds each distinct face once per listing and every stratum
-that has it shares the same object; the stratum tests keep their per-face
-results on that table, so they too are computed once per listing.
+that has it shares the same object; the rank test keeps its per-face
+ranks on that table, so they too are computed once per listing.
 
 Base strata are the relevant variable subsets that meet the support of
 every vertex row, i.e. the relevant transversals of the row supports.
@@ -29,9 +29,8 @@ k-th variable).  ``#`` starts a comment.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import polytope as _poly
 from . import toric as _toric
@@ -140,9 +139,6 @@ class BaseStratum:
     def __iter__(self):
         return iter(self.variables)
 
-    def supports(self) -> Mapping[int, tuple[int, ...]]:
-        return dict(self.face_supports)
-
 
 class FaceTable:
     """The faces of one system's strata, each built once and shared.
@@ -152,12 +148,12 @@ class FaceTable:
     the rows with exponent 1 at rho can exclude a row, so the face depends
     on C only through its meet with their union R_rho.  The table keys each
     rho's faces by that meet, and every distinct ``(rho, rows)`` pair is one
-    tuple object, whichever strata contain it.  ``caches[name]`` is one
-    stratum test's result store, keyed by face; like the faces, it lives
-    as long as the table.
+    tuple object, whichever strata contain it.  ``ranks`` holds the rank
+    test's ``(rank_small, rank_big)`` of each single face, keyed by face;
+    like the faces, it lives as long as the table.
     """
 
-    __slots__ = ("supports", "_candidates", "_reach", "_faces", "_interned", "caches")
+    __slots__ = ("supports", "_candidates", "_reach", "_faces", "_interned", "ranks")
 
     def __init__(self, sys: MonomialSystem):
         r = sys.num_vars
@@ -176,7 +172,7 @@ class FaceTable:
                     self._reach[rho] |= others
         self._faces: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(r)]
         self._interned: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
-        self.caches: defaultdict[str, dict] = defaultdict(dict)
+        self.ranks: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
 
     def stratum(self, cmask: int) -> BaseStratum:
         """The stratum on the variables of the bitmask ``cmask``."""

@@ -23,11 +23,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, prod
 from operator import sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
+    BoxTooLarge,
     DimensionMismatch,
     EmptyInput,
     NotFullDim,
@@ -387,13 +388,24 @@ def rational_hull(points: Sequence[Sequence[Coord]]) -> RationalPolytope:
     return RationalPolytope(n, dim, vertices, facets, equations)
 
 
+# Most points a box scan may visit: about 5 s of scanning, and 156 times the
+# largest box of the tests and the bench (6,400 points, in 6 dimensions).
+MAX_BOX_POINTS = 10**6
+
+
 def _box_scan(p: LatticePolytope, strict: bool) -> list[tuple[int, ...]]:
     """Integer points of the vertex bounding box that lie in P (strictly
-    inside when ``strict``), in lexicographic order."""
+    inside when ``strict``), in lexicographic order; ``BoxTooLarge`` if
+    the box has more than ``MAX_BOX_POINTS`` points."""
     ranges = []
     for j in range(p.dim_ambient):
         coords = [Fraction(v[j]) for v in p.vertices]
         ranges.append(range(ceil(min(coords)), floor(max(coords)) + 1))
+    size = prod(map(len, ranges))
+    if size > MAX_BOX_POINTS:
+        raise BoxTooLarge(
+            f"lattice-point scan of a box with {size} points exceeds the limit of {MAX_BOX_POINTS}"
+        )
     return [cand for cand in itertools.product(*ranges) if p.contains(cand, strict)]
 
 

@@ -8,17 +8,18 @@ Two independent per-stratum tests are implemented and can be cross-run:
   polytopes that fits, after translation, into a subspace of dimension
   strictly below its size.
 
-Both enumerate gamma by increasing size and then lexicographically, so
+Both try the single faces first and then share one search over gammas of
+several faces, by increasing size and then lexicographically, so
 certificates are deterministic and diffable.  A disagreement between the
 two is raised as an error, never resolved silently.
 
 A single-face gamma depends on its face alone, and the strata of one
-listing share their faces (``linsys.FaceTable``).  So each test keeps one
-result per face on the listing's table: the rank test its two ranks, the
-polytope test the face's translated points and their span.  A gamma of
-several faces is still ranked on its own, from those points under the
-polytope test.  The two tests keep separate stores, so under ``both`` each
-computes every face itself and whole results are compared as before.
+listing share their faces (``linsys.FaceTable``).  So the rank test keeps
+the two ranks of each face on the listing's table.  The polytope test
+needs no store: a face spans no dimension after translation exactly when
+it has one row.  Under ``both`` the rank side still ranks every face
+itself, and whole results are compared.  A gamma of several faces is
+ranked on its own, per stratum.
 
 Strata are quantified over relevant zero patterns; on non-simplicial fans
 this is a conservative superset of the per-cone strata.  Specialized
@@ -100,15 +101,16 @@ def _gamma_ranks(sys: _linsys.MonomialSystem, rows: Sequence[int], gamma: Sequen
     return small.rank, big.rank
 
 
-def _m_gamma(supports, gamma: Sequence[int]) -> tuple[int, ...]:
-    """``M_gamma``, the vertex rows with coordinate sum 1 on gamma that vanish
-    on the rest of the stratum, read off the face supports: their sorted union."""
-    return tuple(sorted(i for rho in gamma for i in supports[rho]))
-
-
-def _face_results(st: _linsys.BaseStratum, test: str) -> dict:
-    """One test's results per face, shared by the strata of ``st``'s listing."""
-    return st.table.caches[test] if st.table is not None else {}
+def _first_degenerate(cs, faces, ranks) -> StratumWitness | StratumFailure:
+    """The first gamma of two or more ``faces`` (nonempty, as ``(rho, data)``
+    pairs in variable order) in (size, lex) order whose ``(small, big) =
+    ranks(gamma)`` has ``2 * small > big``: the one search of both tests."""
+    for size in range(2, len(faces) + 1):
+        for gamma in itertools.combinations(faces, size):
+            small, big = ranks(gamma)
+            if 2 * small > big:
+                return StratumWitness(cs, tuple(rho for rho, _ in gamma), size, small, big)
+    return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
 
 
 def check_stratum_rank(
@@ -119,42 +121,31 @@ def check_stratum_rank(
     ``c`` is a ``BaseStratum`` or an iterable of variables (validated).
     The ranks of a single-face gamma depend on the face alone, so they
     are computed once per face of the listing and shared by every stratum
-    that has that face.
+    that has that face.  A gamma of several faces ranks ``M_gamma``, the
+    sorted union of its faces' rows.
     """
     st = _linsys.base_stratum(sys, c)
     cs = st.variables
-    ranks = _face_results(st, "rank")
+    stored = st.table.ranks if st.table is not None else {}
     for face in st.face_supports:
         if not face[1]:
             continue
-        got = ranks.get(face)
+        got = stored.get(face)
         if got is None:
             rho, rows = face
-            got = ranks[face] = _gamma_ranks(sys, rows, (rho,))
+            got = stored[face] = _gamma_ranks(sys, rows, (rho,))
         small, big = got
         if 2 * small > big:
             return StratumWitness(cs, (face[0],), 1, small, big)
-    supports = st.supports()
-    candidates = [rho for rho in cs if supports[rho]]
-    if not candidates:
+    faces = [face for face in st.face_supports if face[1]]
+    if not faces:
         return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
-    for size in range(2, len(candidates) + 1):
-        for gamma in itertools.combinations(candidates, size):
-            small, big = _gamma_ranks(sys, _m_gamma(supports, gamma), gamma)
-            if 2 * small > big:
-                return StratumWitness(cs, gamma, len(gamma), small, big)
-    return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
 
+    def ranks(gamma):
+        rows = sorted(i for _, face_rows in gamma for i in face_rows)
+        return _gamma_ranks(sys, rows, [rho for rho, _ in gamma])
 
-def _translated_face(sys: _linsys.MonomialSystem, rows: Sequence[int]):
-    """A face's points minus its base point, and the dimension they span."""
-    pts = [sys.exponents[i] for i in rows]
-    base = min(pts)
-    translated = [vector_sub(p, base) for p in pts if p != base]
-    span = Echelon(sys.num_vars)
-    for p in translated:
-        span.add(p)
-    return translated, span.rank
+    return _first_degenerate(cs, faces, ranks)
 
 
 def check_stratum_polytope(
@@ -168,9 +159,9 @@ def check_stratum_polytope(
     base point, so that span is the rank of the other translated points.
     Base points are the lexicographically smallest supporting rows; the
     span dimension does not depend on that choice.  ``c`` is a
-    ``BaseStratum`` or an iterable of variables (validated).  Each face's
-    translated points and span are computed once per face of the listing;
-    a gamma of several faces ranks the union of its faces' points.
+    ``BaseStratum`` or an iterable of variables (validated).  A face's rows
+    are distinct, so it is degenerate on its own exactly when it has one
+    row; the translated points are built only when no face is.
 
     The witness ranks need no elimination of their own.  A row of
     ``M_gamma`` that supports the face rho is the unit vector e_rho on C.
@@ -180,30 +171,26 @@ def check_stratum_polytope(
     """
     st = _linsys.base_stratum(sys, c)
     cs = st.variables
-    spans = _face_results(st, "polytope")
-    translated = {}
-    for face in st.face_supports:
-        if not face[1]:
-            continue
-        got = spans.get(face)
-        if got is None:
-            got = spans[face] = _translated_face(sys, face[1])
-        points, span = got
-        if span < 1:
-            return StratumWitness(cs, (face[0],), 1, 1, 1 + span)
-        translated[face[0]] = points
-    if not translated:
+    for rho, rows in st.face_supports:
+        if len(rows) == 1:
+            return StratumWitness(cs, (rho,), 1, 1, 1)
+    faces = []
+    for rho, rows in st.face_supports:
+        if rows:
+            pts = [sys.exponents[i] for i in rows]
+            base = min(pts)
+            faces.append((rho, [vector_sub(p, base) for p in pts if p != base]))
+    if not faces:
         return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)
-    for size in range(2, len(translated) + 1):
-        for gamma in itertools.combinations(translated, size):
-            union = Echelon(sys.num_vars)
-            for rho in gamma:
-                for p in translated[rho]:
-                    union.add(p)
-            span, k = union.rank, len(gamma)
-            if k > span:
-                return StratumWitness(cs, gamma, k, k, k + span)
-    return StratumFailure(cs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
+
+    def ranks(gamma):
+        union = Echelon(sys.num_vars)
+        for _, points in gamma:
+            for p in points:
+                union.add(p)
+        return len(gamma), len(gamma) + union.rank
+
+    return _first_degenerate(cs, faces, ranks)
 
 
 def has_generator_row(sys: _linsys.MonomialSystem) -> bool:

@@ -327,3 +327,23 @@ def loop_system(r):
 
     rows = [tuple(3 if j == i else 1 if j == (i + 1) % r else 0 for j in range(r)) for i in range(r)]
     return monomial_system(make_wps([1] * r), rows)
+
+
+def segment_system(k, closed):
+    """x_i*y_i^2, x_i*y_(i+1)^2 and x_i^3 for i < k, on P^(2k-1) with the y
+    indices taken mod k when ``closed`` (the cycle), else on P^(2k) (the path).
+
+    Variables 0..k-1 are the x_i and the y_j follow.  In the stratum of the
+    x_i each face is a segment along y_(i+1)^2 - y_i^2.  On the cycle these
+    k directions sum to zero and any k - 1 are independent, so the only
+    degenerate gamma is the whole stratum; on the path there is none.
+    """
+    from qsmooth.toric import make_wps
+
+    r = 2 * k if closed else 2 * k + 1
+    rows = []
+    for i in range(k):
+        for y in (i, (i + 1) % k if closed else i + 1):
+            rows.append(tuple(1 if j == i else 2 if j == k + y else 0 for j in range(r)))
+        rows.append(tuple(3 if j == i else 0 for j in range(r)))
+    return monomial_system(make_wps([1] * r), rows)

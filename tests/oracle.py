@@ -449,8 +449,9 @@ def gradings_equivalent(a, b) -> bool:
 def m_gamma(sys, c, gamma) -> tuple[int, ...]:
     """Vertex rows with coordinate sum 1 on gamma, vanishing on C minus gamma.
 
-    The literal definition, which ``qscheck._m_gamma`` reads off the face
-    supports instead; this is the package's former ``linsys.m_gamma``.
+    The literal definition, which ``qscheck.check_stratum_rank`` reads off
+    the face supports instead; this is the package's former
+    ``linsys.m_gamma``.
     """
     cs = tuple(sorted(set(c)))
     gs = tuple(sorted(set(gamma)))
@@ -597,7 +598,7 @@ def check_stratum_rank_uncached(sys, c):
     Every gamma, single faces included, is ranked afresh.
     """
     st = stratum_on_scan(sys, c)
-    cs, supports = st.variables, st.supports()
+    cs, supports = st.variables, dict(st.face_supports)
     candidates = [rho for rho in cs if supports[rho]]
     if not candidates:
         return StratumFailure(cs, FailureReason.ALL_FACES_EMPTY)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import fixture_path
@@ -164,6 +166,24 @@ class TestValidateCommand:
         assert "difference" in report or "differ" in report
 
 
+class TestWitnessFlag:
+    def test_only_check_accepts_witness(self, capsys):
+        system = ["--ambient", fixture_path("ambient_p2xp1.txt"),
+                  "--monomials", fixture_path("monomials_p2xp1_deg32.txt")]
+        pair = ["--p1", fixture_path("poly_newton_deg32.txt"),
+                "--p2", fixture_path("poly_anticanonical_p2xp1.txt")]
+        assert config_from_args(["check", *system, "--witness"]).witness
+        for command, args in (
+            ("strata", system), ("validate", system), ("delsarte", system),
+            ("transpose", system), ("goodpair", pair), ("dualize", pair), ("induce", pair),
+        ):
+            assert not config_from_args([command, *args]).witness
+            with pytest.raises(SystemExit) as exc:
+                config_from_args([command, *args, "--witness"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --witness" in capsys.readouterr().err
+
+
 class TestStrataCommand:
     def test_lists_strata(self):
         code, report = run_cli(
@@ -252,6 +272,21 @@ class TestPolytopeCommands:
         )
         assert code == 2
         assert "[error]" in report and "internal error" not in report
+
+    def test_huge_lattice_point_box_is_an_input_error(self, tmp_path):
+        # the box of this simplex holds about 10^18 integer points
+        simplex = tmp_path / "simplex.txt"
+        simplex.write_text("-1 -1 -1\n1000000 0 0\n0 1000000 0\n0 0 1000000\n", encoding="utf-8")
+        for command in ("goodpair", "induce"):
+            for output in ("text", "machine"):
+                start = time.perf_counter()
+                code, report = run_cli(
+                    [command, "--p1", str(simplex), "--p2", str(simplex), "--output", output]
+                )
+                assert time.perf_counter() - start < 1.0
+                assert code == 2
+                assert "box with 1000006000012000008 points exceeds the limit" in report
+                assert ("[error]" in report) == (output == "machine")
 
     def test_dualize_emits_two_polytopes(self):
         code, report = run_cli(

@@ -1,11 +1,11 @@
 """The face table: each face is built once per listing and shared.
 
 ``base_locus_strata`` keys every face by the part of the stratum that can
-change it, and the stratum tests keep one result per face in stores that
-live on the listing's table.  These tests compare strata and per-stratum
+change it, and the rank test keeps the ranks of each face in a store that
+lives on the listing's table.  These tests compare strata and per-stratum
 results with the former row scan and the former uncached test bodies in
-``tests/oracle.py``, and check that nothing is shared between listings,
-between systems or between the two tests.
+``tests/oracle.py``, and check that nothing is shared between listings or
+between systems, and that ``both`` still ranks every face on the rank side.
 """
 
 import random
@@ -20,6 +20,7 @@ from generators import (
     random_atomic_sum,
     random_fan_system,
     random_wps_system,
+    segment_system,
     wps_weights_for,
 )
 from oracle import (
@@ -37,7 +38,9 @@ from qsmooth.linsys import (
     monomial_system,
 )
 from qsmooth.qscheck import (
+    FailureReason,
     Method,
+    StratumFailure,
     StratumWitness,
     check_stratum_polytope,
     check_stratum_rank,
@@ -109,6 +112,29 @@ class TestFaceTableDifferential:
         for r in range(3, 15):
             assert _same_as_oracle(loop_system(r))[0] > 0
 
+    def test_segment_families(self):
+        # the stratum of the x_i is decided only after every smaller gamma:
+        # on the cycle by the whole stratum, on the path not at all
+        for k in range(3, 8):
+            for closed in (True, False):
+                sys_ = segment_system(k, closed)
+                assert _same_as_oracle(sys_)[0] > 0
+                xs = tuple(range(k))
+                expected = StratumWitness(xs, xs, k, k, 2 * k - 1) if closed else (
+                    StratumFailure(xs, FailureReason.NO_DEGENERATE_SUBCOLLECTION)
+                )
+                for check in (check_stratum_rank, check_stratum_polytope):
+                    assert check(sys_, base_stratum(sys_, xs)) == expected
+
+    def test_the_lex_first_of_several_witnesses(self):
+        # three parallel segments on P^4: every pair of faces is degenerate
+        rows = [(1, 0, 0, 2, 0), (1, 0, 0, 0, 2), (0, 1, 0, 2, 0), (0, 1, 0, 0, 2),
+                (0, 0, 1, 2, 0), (0, 0, 1, 0, 2)]
+        sys_ = monomial_system(make_wps([1] * 5), rows)
+        assert _same_as_oracle(sys_)[1] > 0
+        for check in (check_stratum_rank, check_stratum_polytope):
+            assert check(sys_, (0, 1, 2)) == StratumWitness((0, 1, 2), (0, 1), 2, 2, 3)
+
 
 class TestFaceSharing:
     def test_a_face_of_several_strata_is_one_object(self):
@@ -159,10 +185,8 @@ class TestFaceSharing:
                 check_stratum_polytope(sys_, st)
             table = strata[0].table
             faces = {face for st in strata for face in st.face_supports if face[1]}
-            assert set(table.caches) == {"rank", "polytope"}
-            for cache in table.caches.values():
-                assert set(cache) <= faces
-            for (rho, rows), ranks in table.caches["rank"].items():
+            assert table.ranks and set(table.ranks) <= faces
+            for (rho, rows), ranks in table.ranks.items():
                 m = [sys_.exponents[i] for i in rows]
                 assert ranks == (rank_rational([[row[rho]] for row in m]), rank_rational(m))
 
@@ -231,7 +255,7 @@ class TestCacheScoping:
         systems = _pair(PLANAR, SOLID)
         listings, _ = self._alternate(systems, "rank")
         face = (0, (0, 1, 2, 3))
-        spans = [strata[0].table.caches["rank"][face] for strata in listings]
+        spans = [strata[0].table.ranks[face] for strata in listings]
         assert spans == [(1, 3), (1, 4)]
 
     def test_a_gamma_is_decided_on_each_strata_own_faces(self):

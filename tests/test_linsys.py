@@ -377,7 +377,7 @@ class TestLoopSystemScaling:
 
 class TestFaceSupports:
     def test_product_pair_stratum(self, product_system):
-        supports = base_stratum(product_system, (1, 2)).supports()
+        supports = dict(base_stratum(product_system, (1, 2)).face_supports)
         assert supports[1] == (0, 1)
         assert supports[2] == (2, 3)
         seg = [
@@ -387,18 +387,18 @@ class TestFaceSupports:
         assert seg == [(2, 0, 0, 2, 0), (2, 0, 0, 0, 2)]
 
     def test_triple_point_stratum_all_empty(self, p4_system):
-        supports = base_stratum(p4_system, (0, 1, 2)).supports()
+        supports = dict(base_stratum(p4_system, (0, 1, 2)).face_supports)
         assert all(rows == () for rows in supports.values())
 
     def test_blowup_supports_are_single_points(self, blowup_system):
         for st in base_locus_strata(blowup_system):
-            for rows in st.supports().values():
+            for _, rows in st.face_supports:
                 assert len(rows) <= 1
 
     def test_supports_pairwise_disjoint(self, triple_line_system):
         for st in base_locus_strata(triple_line_system):
             seen = set()
-            for rows in st.supports().values():
+            for _, rows in st.face_supports:
                 assert not (seen & set(rows))
                 seen.update(rows)
 
@@ -420,7 +420,7 @@ class TestMGamma:
 
         for sys_ in (product_system, blowup_system):
             for st in base_locus_strata(sys_):
-                supports = st.supports()
+                supports = dict(st.face_supports)
                 for size in range(1, len(st.variables) + 1):
                     for gamma in itertools.combinations(st.variables, size):
                         expected = sorted(
@@ -455,11 +455,11 @@ class TestVertexRowInvariance:
         ):
             pts_a = {
                 rho: tuple(extended.exponents[i] for i in rows_)
-                for rho, rows_ in st_a.supports().items()
+                for rho, rows_ in st_a.face_supports
             }
             pts_b = {
                 rho: tuple(product_system.exponents[i] for i in rows_)
-                for rho, rows_ in st_b.supports().items()
+                for rho, rows_ in st_b.face_supports
             }
             assert pts_a == pts_b
         assert (

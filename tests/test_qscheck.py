@@ -374,11 +374,10 @@ class TestStratumRanksDifferential:
             sys_ = out[2]
             systems += 1
             for st in base_locus_strata(sys_):
-                supports = st.supports()
-                candidates = [rho for rho in st.variables if supports[rho]]
+                candidates = [rho for rho, rows in st.face_supports if rows]
                 for size in range(1, len(candidates) + 1):
                     for gamma in itertools.combinations(candidates, size):
-                        rows = qscheck._m_gamma(supports, gamma)
+                        rows = m_gamma(sys_, st.variables, gamma)
                         expected = (
                             rank_rational([tuple(sys_.exponents[i][j] for j in gamma) for i in rows]),
                             rank_rational([sys_.exponents[i] for i in rows]),
