@@ -342,3 +342,7 @@ def main(argv=None) -> None:
     if report:
         print(report)
     _sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

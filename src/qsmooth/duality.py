@@ -76,6 +76,12 @@ def induced_system(
     The exponent of a point m at ray v is <m, v> + 1; a negative entry
     means m lies outside the anticanonical polytope of the fan and is
     rejected.  Homogeneity of the result is re-validated on construction.
+
+    The rays of the normal fan of the full-dimensional P2 span the space,
+    so the exponent map is affine and one-to-one and maps the vertices of
+    the hull of the points onto the Newton vertices.  When P1 has integral
+    vertices, that hull is P1, so the vertex rows are the rows of P1's
+    vertices and no hull is computed.
     """
     fan = _poly.normal_fan(p2)
     ambient = _toric.ToricAmbient.from_fan(fan)
@@ -86,7 +92,11 @@ def induced_system(
         if any(x < 0 for x in row):
             raise PointOutsideP2(f"lattice point {m} maps to a negative exponent")
         rows.append(row)
-    system = _linsys.monomial_system(ambient, rows)
+    vertex_rows = None
+    if _poly.has_integral_vertices(p1):
+        corners = set(p1.vertices)
+        vertex_rows = (i for i, m in enumerate(points) if m in corners)
+    system = _linsys.monomial_system(ambient, rows, vertex_rows=vertex_rows)
     return InducedSystem(ambient=ambient, system=system, points=points)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyInput, InvariantViolation, SingularMatrix
@@ -115,11 +115,11 @@ class SNFResult:
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise DimensionMismatch("dot product of vectors with different lengths")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vector_sub(a: Sequence[int], b: Sequence[int]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def gcd_vector(v: Sequence[int]) -> int:

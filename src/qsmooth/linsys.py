@@ -73,7 +73,10 @@ class MonomialSystem:
 
 
 def monomial_system(
-    ambient: _toric.ToricAmbient, rows: Sequence[Sequence[int]]
+    ambient: _toric.ToricAmbient,
+    rows: Sequence[Sequence[int]],
+    *,
+    vertex_rows: Iterable[int] | None = None,
 ) -> MonomialSystem:
     """Validated constructor; computes the Newton-polytope vertex rows once.
 
@@ -84,6 +87,10 @@ def monomial_system(
     beneath-beyond hull.  Only the hull's vertices are read, so its facet
     inequalities, which are listed on first read, are never computed.  A
     non-integral exponent raises ``ValueError``.
+
+    A caller that already knows the Newton vertices passes their row
+    indices, in increasing order, as ``vertex_rows``; they are trusted, and
+    neither test nor hull runs (``duality.induced_system`` does this).
     """
     try:
         exps = tuple(_int_vector(r) for r in rows)
@@ -109,7 +116,9 @@ def monomial_system(
         diff = ambient.grading.degree_difference(exps[0], other)
         if any(diff):
             raise NotHomogeneous(0, i, diff)
-    if len(exps) <= ambient.num_vars + 1 and affine_span_dim(exps) == len(exps) - 1:
+    if vertex_rows is not None:
+        vertex_rows = tuple(vertex_rows)
+    elif len(exps) <= ambient.num_vars + 1 and affine_span_dim(exps) == len(exps) - 1:
         # Affinely independent rows are all vertices of their hull.
         vertex_rows = tuple(range(len(exps)))
     else:

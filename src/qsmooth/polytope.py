@@ -6,9 +6,12 @@ affine-hull equations.  Vertices and facet incidences are found by an
 incremental beneath-beyond hull in integer arithmetic on a
 full-dimensional projection of the points.  The facet inequalities are
 listed the first time a polytope's ``facets`` is read, in a fixed order
-with normals read off in ambient coordinates, so the facet list depends
-only on the input points and their order; a caller that needs only the
-vertices (as ``linsys.monomial_system`` does) never pays for it.
+with normals in ambient coordinates (a full-dimensional hull reuses the
+normals the hull found), so the facet list depends only on the input
+points and their order; a caller that needs only the vertices (as
+``linsys.monomial_system`` does) never pays for it.  Lattice points of a
+full-dimensional polytope are found fibre by fibre along the last
+coordinate.
 
 Lower-dimensional polytopes are kept in their ambient coordinates rather
 than being projected; the affine hull is recorded as equations.
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, prod
-from operator import sub
-from typing import Callable, Iterable, Sequence, Union
+from operator import mul, sub
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import (
     BoxTooLarge,
@@ -209,8 +212,10 @@ def _affine_basis(
     return chosen, echelon
 
 
-def _facet_masks(pts: list[tuple[int, ...]], dim: int) -> list[int]:
-    """Incidence bitmasks of the facets of the hull of full-dimensional ``pts``.
+def _facet_masks(
+    pts: list[tuple[int, ...]], dim: int
+) -> dict[tuple[tuple[int, ...], int], int]:
+    """Facets of the hull of full-dimensional ``pts`` and their incidence bitmasks.
 
     Beneath-beyond (Edelsbrunner 1987): start from the first ``dim + 1``
     affinely independent points and add the others one at a time.  Each
@@ -222,7 +227,8 @@ def _facet_masks(pts: list[tuple[int, ...]], dim: int) -> list[int]:
     strictly beneath.  New facets on the same hyperplane merge.  A new
     facet's normal is read off the echelon that ``_affine_basis`` built to
     test the ridge's rank, after one more row for the new point, so no
-    kernel is computed from scratch.
+    kernel is computed from scratch.  Returns the map from each facet's
+    primitive inner normal and offset to its mask.
     """
     simplex, _ = _affine_basis(pts, (1 << len(pts)) - 1, dim + 1)
     # (dim + 1) times the simplex centroid, strictly inside every later hull
@@ -270,7 +276,7 @@ def _facet_masks(pts: list[tuple[int, ...]], dim: int) -> list[int]:
                         new[key] = new.get(key, 0) | ridge | bit
             kept.update(new)
         facets = kept
-    return list(facets.values())
+    return facets
 
 
 def _hull_parts(pts: list[tuple[int, ...]]):
@@ -297,30 +303,44 @@ def _hull_parts(pts: list[tuple[int, ...]]):
 
     core = _drop_midpoints(pts)
     proj = [tuple(p[j] for j in span.pivots) for p in core]
-    masks = _facet_masks(proj, dim)
+    planes = _facet_masks(proj, dim)
 
     meet = [(1 << len(core)) - 1] * len(core)
-    for m in masks:
+    for m in planes.values():
         for i in _bits(m):
             meet[i] &= m
     vertices = {p for i, p in enumerate(core) if meet[i] == 1 << i}
     flags = [p in vertices for p in pts]
-    return dim, equations, flags, lambda: _list_facets(core, proj, masks, span)
+    return dim, equations, flags, lambda: _list_facets(core, proj, planes, span)
 
 
-def _list_facets(core, proj, masks, span: Echelon) -> list[Facet]:
-    """Facet inequalities of the hull of ``core`` from its incidence masks.
+def _list_facets(core, proj, planes, span: Echelon) -> list[Facet]:
+    """Facet inequalities of the hull of ``core`` from the hull's facets.
 
-    The facets are listed in the order of the lexicographically first
-    affinely independent ``dim``-subset of their support, and each normal
-    is the first vector of the kernel of that subset that does not vanish
-    on the affine hull (a primitive vector), with its sign fixed so that
-    the hull lies on the nonnegative side.
+    ``planes`` maps each facet's primitive inner normal and offset, in the
+    projected coordinates ``proj``, to its incidence mask.  The facets are
+    listed in the order of the lexicographically first affinely
+    independent ``dim``-subset of their support.  A full-dimensional hull
+    projects onto a permutation of its coordinates, so each normal is its
+    key's normal with that permutation undone.  Otherwise each normal is
+    the first vector of the kernel of that subset that does not vanish on
+    the affine hull (a primitive vector), with its sign fixed so that the
+    hull lies on the nonnegative side.  A hyperplane has one primitive
+    inner normal, so both ways give the same facets.
     """
     n = len(core[0])
     dim = span.rank
+    order = sorted((_affine_basis(proj, m, dim)[0], key, m) for key, m in planes.items())
     facets: list[Facet] = []
-    for basis, mask in sorted((_affine_basis(proj, m, dim)[0], m) for m in masks):
+    if dim == n:
+        pivots = span.pivots
+        for _, (normal, offset), _ in order:
+            ambient = [0] * n
+            for j, x in zip(pivots, normal):
+                ambient[j] = x
+            facets.append(Facet(tuple(ambient), offset))
+        return facets
+    for basis, _, mask in order:
         s0 = core[basis[0]]
         kernel = rational_kernel_basis(
             [vector_sub(core[i], s0) for i in basis[1:]], width=n
@@ -393,10 +413,22 @@ def rational_hull(points: Sequence[Sequence[Coord]]) -> RationalPolytope:
 MAX_BOX_POINTS = 10**6
 
 
-def _box_scan(p: LatticePolytope, strict: bool) -> list[tuple[int, ...]]:
-    """Integer points of the vertex bounding box that lie in P (strictly
-    inside when ``strict``), in lexicographic order; ``BoxTooLarge`` if
-    the box has more than ``MAX_BOX_POINTS`` points."""
+def _box_scan(p: LatticePolytope, strict: bool) -> Iterator[tuple[int, ...]]:
+    """Integer points of P (strictly inside when ``strict``), in lexicographic order.
+
+    The points are searched for in the bounding box of the vertices.  If
+    that box has more than ``MAX_BOX_POINTS`` points, ``BoxTooLarge`` is
+    raised at once, before any point is yielded.  The limit is on the whole
+    box, not on the box of the first n - 1 coordinates that the fibre scan
+    walks: a single fibre can hold any number of points.
+
+    A full-dimensional P of positive dimension is scanned by fibres.  For
+    each point y of the box of the first n - 1 coordinates, every facet
+    ``<a, (y, t)> >= b`` bounds the last coordinate t by an exact floor or
+    ceiling division (``Fraction // int`` is exact too), and the integers
+    between the bounds are yielded.  Any other P is scanned point by point
+    with ``contains``.
+    """
     ranges = []
     for j in range(p.dim_ambient):
         coords = [Fraction(v[j]) for v in p.vertices]
@@ -406,33 +438,67 @@ def _box_scan(p: LatticePolytope, strict: bool) -> list[tuple[int, ...]]:
         raise BoxTooLarge(
             f"lattice-point scan of a box with {size} points exceeds the limit of {MAX_BOX_POINTS}"
         )
-    return [cand for cand in itertools.product(*ranges) if p.contains(cand, strict)]
+    if p.is_full_dim and p.dim_ambient:
+        return _fibre_scan(p, ranges, strict)
+    return (cand for cand in itertools.product(*ranges) if p.contains(cand, strict))
+
+
+def _fibre_scan(p: LatticePolytope, ranges: list[range], strict: bool):
+    """The fibre scan of ``_box_scan`` over the box ``ranges``."""
+    bounds = [(f.normal[:-1], f.normal[-1], f.offset) for f in p.facets]
+    first, last = ranges[-1].start, ranges[-1].stop - 1
+    for head in itertools.product(*ranges[:-1]):
+        low, high = first, last
+        for a, c, b in bounds:
+            rest = b - sum(map(mul, a, head))  # the facet reads c * t >= rest
+            if c > 0:
+                t = rest // c + 1 if strict else -(-rest // c)
+                if t > low:
+                    low = t
+            elif c < 0:
+                t = -(-rest // c) - 1 if strict else rest // c
+                if t < high:
+                    high = t
+            elif rest > 0 or (strict and rest == 0):
+                break
+        else:
+            for t in range(low, high + 1):
+                yield head + (t,)
 
 
 def lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     """All integer points of a (lattice or rational) bounded polytope.
 
-    Found by scanning the bounding box of the vertices; order is
-    lexicographic, so output is deterministic.
+    Found by ``_box_scan``: fibre by fibre along the last coordinate when
+    P is full-dimensional, else point by point in the bounding box of the
+    vertices.  Order is lexicographic, so output is deterministic.
     """
-    return _box_scan(p, strict=False)
+    return list(_box_scan(p, strict=False))
 
 
 def interior_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     """Integer points strictly inside a full-dimensional polytope."""
     if not p.is_full_dim:
         raise NotFullDim("interior of a lower-dimensional polytope is empty")
-    return _box_scan(p, strict=True)
+    return list(_box_scan(p, strict=True))
 
 
 def is_canonical(p: LatticePolytope) -> bool:
-    """True iff the origin is the unique interior lattice point."""
+    """True iff the origin is the unique interior lattice point.
+
+    The scan stops at the first interior point other than the origin.
+    """
     if not p.is_full_dim:
         raise NotFullDim("canonicality needs a full-dimensional polytope")
     if any(isinstance(x, Fraction) and x.denominator != 1 for v in p.vertices for x in v):
         raise NotLatticePolytope("canonicality is defined for lattice polytopes")
-    origin = tuple(0 for _ in range(p.dim_ambient))
-    return interior_lattice_points(p) == [origin]
+    origin = (0,) * p.dim_ambient
+    found = False
+    for point in _box_scan(p, strict=True):
+        if point != origin:
+            return False
+        found = True
+    return found
 
 
 def polar_dual(p: LatticePolytope) -> RationalPolytope:

@@ -179,12 +179,17 @@ def is_fake_wps(fan: Fan) -> bool:
 
 
 def irrelevant_components(fan: Fan) -> list[tuple[int, ...]]:
-    """Minimal variable subsets not contained in any cone's ray set."""
+    """Minimal variable subsets not contained in any cone's ray set.
+
+    Every proper subset of a minimal one lies in some cone, so none has
+    more than ``max |cone| + 1`` elements and the search stops there.
+    """
     cone_sets = [set(c) for c in fan.max_cones]
     found: list[set] = []
     out = []
     indices = range(fan.num_rays)
-    for size in range(1, fan.num_rays + 1):
+    largest = max(map(len, cone_sets), default=0)
+    for size in range(1, min(fan.num_rays, largest + 1) + 1):
         for cand in itertools.combinations(indices, size):
             cs = set(cand)
             if any(prev <= cs for prev in found):

@@ -18,6 +18,16 @@ def _primitive(v):
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
+def primitive_rays(rng: random.Random, count: int, width: int):
+    """``count`` distinct primitive integer vectors with entries in [-3, 3]."""
+    rays = []
+    while len(rays) < count:
+        v = tuple(rng.randint(-3, 3) for _ in range(width))
+        if any(v) and _primitive(v) == v and v not in rays:
+            rays.append(v)
+    return tuple(rays)
+
+
 def random_complete_fan_2d(rng: random.Random, num_rays: int) -> Fan:
     """Distinct primitive rays sorted by angle; consecutive pairs are cones."""
     while True:

@@ -5,14 +5,18 @@ simplex over Fractions (Bland's rule, so it always terminates), with no
 code shared with the package's facet machinery.  The package's former
 elimination routines (full-pivot Bareiss rank, fraction-free Gauss-Jordan
 kernel and solve) live here too, so that ``linalg.Echelon`` and the hull
-built on it are checked against code they do not share.
+built on it are checked against code they do not share.  The former
+versions of routines that a speed-up replaced (the per-point box scan,
+the per-facet kernel facet listing, the unbounded irrelevant-component
+search) live here too, for the differential tests against their
+replacements.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 from qsmooth.errors import (
     DimensionMismatch,
@@ -34,7 +38,15 @@ from qsmooth.linalg import (
     vector_sub,
 )
 from qsmooth.linsys import BaseStratum, base_stratum, is_base_stratum
-from qsmooth.polytope import Equation, Facet, hull, lattice_points
+from qsmooth.polytope import (
+    Equation,
+    Facet,
+    _affine_basis,
+    _drop_midpoints,
+    _facet_masks,
+    hull,
+    lattice_points,
+)
 from qsmooth.qscheck import (
     FailureReason,
     Method,
@@ -763,3 +775,73 @@ def int_hull_data_exhaustive(pts):
         tight += [eq.normal for eq in equations]
         vertex_flags.append(bool(tight) and rank_bareiss(tight) == n)
     return dim, facets, equations, vertex_flags
+
+
+def list_facets_kernel(pts):
+    """Facets of the hull of distinct integer points, one kernel per facet.
+
+    This is the package's former ``polytope._list_facets``: the hull's
+    incidence masks come from ``polytope._facet_masks`` on the core points
+    projected to the span's pivot coordinates, as in ``_hull_parts``, but
+    each normal is recomputed in ambient coordinates as the first kernel
+    vector of the facet's first affinely independent subset that does not
+    vanish on the affine hull, its sign fixed by a point off the facet.
+    """
+    n = len(pts[0])
+    span = Echelon(n)
+    for p in pts[1:]:
+        span.add(vector_sub(p, pts[0]))
+    dim = span.rank
+    if dim == 0:
+        return []
+    core = _drop_midpoints(pts)
+    proj = [tuple(p[j] for j in span.pivots) for p in core]
+    masks = _facet_masks(proj, dim).values()
+    facets = []
+    for basis, mask in sorted((_affine_basis(proj, m, dim)[0], m) for m in masks):
+        s0 = core[basis[0]]
+        kernel = kernel_gauss_jordan([vector_sub(core[i], s0) for i in basis[1:]], width=n)
+        normal = next(v for v in kernel if any(dot(v, row) for _, row in span.rows))
+        pivot = dot(normal, s0)
+        off = next(i for i in range(len(core)) if not mask >> i & 1)
+        if dot(normal, core[off]) < pivot:
+            normal = tuple(-x for x in normal)
+            pivot = -pivot
+        facets.append(Facet(tuple(normal), pivot))
+    return facets
+
+
+def box_scan_points(p, strict):
+    """Integer points of the vertex bounding box that lie in P, one by one.
+
+    This is the package's former ``polytope._box_scan``: every point of the
+    box is tested with ``contains`` (strictly inside when ``strict``), in
+    lexicographic order.
+    """
+    ranges = []
+    for j in range(p.dim_ambient):
+        coords = [Fraction(v[j]) for v in p.vertices]
+        ranges.append(range(ceil(min(coords)), floor(max(coords)) + 1))
+    return [cand for cand in itertools.product(*ranges) if p.contains(cand, strict)]
+
+
+def irrelevant_components_unbounded(fan):
+    """Minimal non-faces of a fan, trying every subset size up to the ray count.
+
+    This is the package's former ``toric.irrelevant_components``.
+    """
+    cone_sets = [set(c) for c in fan.max_cones]
+    found = []
+    out = []
+    indices = range(fan.num_rays)
+    for size in range(1, fan.num_rays + 1):
+        for cand in itertools.combinations(indices, size):
+            cs = set(cand)
+            if any(prev <= cs for prev in found):
+                continue
+            if any(cs <= cone for cone in cone_sets):
+                continue
+            found.append(cs)
+            out.append(cand)
+    return out
+

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qsmooth
 from conftest import fixture_path
 from qsmooth.cli import config_from_args, main, run
 
@@ -355,3 +360,20 @@ class TestMainEntry:
             main(check_args("ambient_p2xp1.txt", "monomials_p2xp1_deg32.txt"))
         assert exc.value.code == 0
         assert "quasismooth" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module", ["qsmooth", "qsmooth.cli"])
+    def test_python_dash_m_prints_the_verdict_and_exits_with_its_code(self, module):
+        src = str(Path(qsmooth.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        args = check_args("ambient_p4.txt", "monomials_p4_triple_point.txt")
+        done = subprocess.run(
+            [sys.executable, "-m", module, *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert "verdict: NOT quasismooth (method both)" in done.stdout
+        assert "failing stratum {x1 x2 x3}" in done.stdout

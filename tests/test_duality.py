@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,16 @@ from qsmooth.duality import (
 )
 from qsmooth.errors import NonIntegralDual, PointOutsideP2
 from qsmooth.linalg import vector_sub
-from qsmooth.polytope import hull, is_canonical, lattice_points
+from qsmooth.linsys import monomial_system
+from qsmooth.polytope import (
+    as_lattice,
+    has_integral_vertices,
+    hull,
+    is_canonical,
+    lattice_points,
+    polar_dual,
+    rational_hull,
+)
 from qsmooth.qscheck import is_quasismooth
 
 
@@ -142,6 +152,64 @@ class TestInducedSystem:
         big = hull([(3, 0), (-3, 0), (0, 3), (0, -3)])
         with pytest.raises(PointOutsideP2):
             induced_system(big, CROSS)
+
+
+def _hull_vertex_rows(rows):
+    corners = set(hull(rows).vertices)
+    return tuple(i for i, r in enumerate(rows) if r in corners)
+
+
+class TestInducedVertexRows:
+    """The vertex rows read off P1 equal the rows the hull finds."""
+
+    @staticmethod
+    def _pairs():
+        rng = random.Random(8_301)
+        pairs = [(CROSS, CROSS), (PLANE_ANTICANONICAL, PLANE_ANTICANONICAL)]
+        while len(pairs) < 32:
+            # a reflexive P2, so its lattice points all give nonnegative exponents
+            p2 = random_canonical_polytope(rng, rng.choice([2, 3]))
+            star = polar_dual(p2)
+            if not has_integral_vertices(star):
+                continue
+            if rng.random() < 0.5:
+                p2 = as_lattice(star)
+            points = lattice_points(p2)
+            size = rng.randint(1, len(points))
+            pairs.append((hull(rng.sample(points, size)), p2))
+        return pairs
+
+    def test_fixture_pair(self, newton_polytope_pair):
+        ind = induced_system(*newton_polytope_pair)
+        assert ind.system.vertex_rows == _hull_vertex_rows(ind.system.exponents)
+
+    def test_seeded_pairs(self):
+        dims = set()
+        for p1, p2 in self._pairs():
+            ind = induced_system(p1, p2)
+            assert ind.system.vertex_rows == _hull_vertex_rows(ind.system.exponents)
+            assert ind.system == monomial_system(ind.ambient, ind.system.exponents)
+            dims.add(p1.dim)
+        assert dims == {0, 1, 2, 3}
+
+    def test_integral_p1_builds_no_hull(self, monkeypatch, newton_polytope_pair):
+        def no_hull(points):
+            raise AssertionError("hull built for an integral P1")
+
+        expected = induced_system(*newton_polytope_pair)
+        monkeypatch.setattr(qsmooth.polytope, "hull", no_hull)
+        assert induced_system(*newton_polytope_pair) == expected
+
+    def test_rational_p1_goes_through_the_hull(self):
+        # the lattice points of this P1 span a smaller square than P1
+        p1 = rational_hull([(Fraction(3, 2), 0), (0, Fraction(3, 2)), (-1, -1)])
+        p2 = hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        ind = induced_system(p1, p2)
+        rows = ind.system.exponents
+        assert ind.system.vertex_rows == _hull_vertex_rows(rows)
+        assert len(ind.system.vertex_rows) < len(rows)
+        corners = {ind.points[i] for i in ind.system.vertex_rows}
+        assert corners != set(p1.vertices)
 
 
 class TestDualPair:

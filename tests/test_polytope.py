@@ -8,17 +8,20 @@ import pytest
 from conftest import FIXTURES, fixture_path
 from generators import random_canonical_polytope
 from oracle import (
+    box_scan_points,
     drop_midpoints_pairs,
     in_convex_hull,
     in_interior,
     int_hull_data_exhaustive,
     interior_lattice_points_bruteforce,
+    list_facets_kernel,
 )
-from qsmooth.errors import EmptyInput, NotFullDim, NotInteriorOrigin
+from qsmooth.errors import BoxTooLarge, EmptyInput, NotFullDim, NotInteriorOrigin
 from qsmooth.linalg import affine_span_dim, dot
 from qsmooth.polytope import (
     Facet,
     LatticePolytope,
+    _box_scan,
     _dedupe,
     _drop_midpoints,
     _hull_parts,
@@ -203,6 +206,45 @@ class TestHullDifferential:
         self._check([(x, y, 5 - x - y) for x in range(3) for y in range(3)])
         self._check(EIGHT_ROWS + [(2, 1, 0, 1, 1), (1, 1, 1, 1, 1)])
         self._check([(4, 5)])
+
+
+class TestFacetListingDifferential:
+    """Facets read off the hull's normals equal the per-facet kernel listing."""
+
+    def _check(self, points):
+        pts = _dedupe(points)
+        assert hull(pts).facets == tuple(list_facets_kernel(pts))
+        thirds = [tuple(Fraction(x, 3) for x in p) for p in pts]
+        assert rational_hull(thirds).facets == tuple(
+            Facet(f.normal, Fraction(f.offset, 3)) for f in list_facets_kernel(pts)
+        )
+
+    def test_fixtures_and_polars(self):
+        rng = random.Random(7_101)
+        polytopes = [load_polytope(str(path)) for path in sorted(FIXTURES.glob("poly_*"))]
+        polytopes += [random_canonical_polytope(rng, rng.choice([2, 3, 4])) for _ in range(12)]
+        for p in polytopes:
+            self._check(list(p.vertices))
+            self._check(_scale_to_int(_dedupe(polar_dual(p).vertices))[0])
+
+    def test_seeded_clouds_full_and_lower_dimensional(self):
+        rng = random.Random(7_102)
+        for width in range(1, 6):
+            for _ in range(30):
+                dim = rng.randint(1, width)
+                base = [
+                    tuple(rng.randint(-3, 3) for _ in range(dim))
+                    for _ in range(rng.randint(2, 10))
+                ]
+                pts = base if dim == width else _embed(rng, base, width)
+                rng.shuffle(pts)
+                self._check(pts)
+
+    def test_permuted_pivots(self):
+        # the span's pivots come out of order when the first differences
+        # vanish on the first coordinate
+        self._check([(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (1, 1, 1)])
+        self._check([(0, 0, 0), (0, 0, 2), (0, 3, 1), (4, 1, 1), (-1, -1, -1)])
 
 
 class TestDropMidpointsDifferential:
@@ -403,6 +445,74 @@ class TestLatticePointsAgainstOracle:
                 if in_convex_hull(p.vertices, cand)
             ]
             assert lattice_points(p) == brute
+
+
+def _random_polytopes(rng, rational):
+    """Seeded polytopes in dimensions 1-4, full- and lower-dimensional."""
+    out = []
+    for width in range(1, 5):
+        for _ in range(20):
+            dim = rng.randint(0, width)
+            base = [
+                tuple(rng.randint(-3, 3) for _ in range(max(dim, 1)))
+                for _ in range(rng.randint(1, 8))
+            ]
+            if dim == 0:
+                base = base[:1]
+            pts = base if dim == width else _embed(rng, base, width)
+            if rational:
+                den = rng.choice([2, 3, 4])
+                pts = [tuple(Fraction(x, den) + rng.randint(-1, 1) for x in p) for p in pts]
+                out.append(rational_hull(pts))
+            else:
+                out.append(hull(pts))
+    return out
+
+
+class TestFibreScanDifferential:
+    """The fibre scan finds what the per-point box scan finds, in its order."""
+
+    def _polytopes(self):
+        polytopes = [load_polytope(str(path)) for path in sorted(FIXTURES.glob("poly_*"))]
+        polytopes += [polar_dual(p) for p in polytopes]
+        polytopes += _random_polytopes(random.Random(7_201), rational=False)
+        polytopes += _random_polytopes(random.Random(7_202), rational=True)
+        polytopes += [random_canonical_polytope(random.Random(7_203 + d), d) for d in (1, 2, 3, 4)]
+        return polytopes
+
+    def test_lattice_and_interior_points(self):
+        kinds = set()
+        for p in self._polytopes():
+            kinds.add((p.dim_ambient, p.is_full_dim, type(p).__name__))
+            for strict in (False, True):
+                assert list(_box_scan(p, strict)) == box_scan_points(p, strict)
+            assert lattice_points(p) == box_scan_points(p, False)
+            if p.is_full_dim:
+                assert interior_lattice_points(p) == box_scan_points(p, True)
+        # every dimension 1-4 was seen full- and lower-dimensional, lattice and rational
+        assert len(kinds) == 16
+
+    def test_is_canonical_stops_at_the_same_answer(self):
+        polytopes = [p for p in self._polytopes() if p.is_full_dim]
+        polytopes += [random_canonical_polytope(random.Random(7_204), 3) for _ in range(10)]
+        polytopes += [hull([(x, 0), (0, y), (-1, -1)]) for x in (1, 2) for y in (1, 2)]
+        answers = set()
+        for p in polytopes:
+            if any(Fraction(x).denominator != 1 for v in p.vertices for x in v):
+                continue
+            origin = (0,) * p.dim_ambient
+            expected = interior_lattice_points(p) == [origin]
+            assert is_canonical(p) == expected == (box_scan_points(p, True) == [origin])
+            answers.add(expected)
+        assert answers == {True, False}
+
+    def test_box_limit_is_on_the_whole_box(self):
+        # two fibres only, but the whole box holds 2 * (2 * 10**6 + 1) points
+        thin = hull([(0, 0), (1, 0), (0, 2 * 10**6)])
+        message = "box with 4000002 points exceeds the limit of 1000000"
+        for scan in (lattice_points, interior_lattice_points, is_canonical):
+            with pytest.raises(BoxTooLarge, match=message):
+                scan(thin)
 
 
 class TestNormalFan:

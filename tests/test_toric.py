@@ -1,7 +1,14 @@
+import random
+
 import pytest
 
 from conftest import fixture_path
-from oracle import gradings_equivalent, irrelevant_dim_in_stratum
+from generators import primitive_rays, random_complete_fan_2d, random_complete_fan_3d
+from oracle import (
+    gradings_equivalent,
+    irrelevant_components_unbounded,
+    irrelevant_dim_in_stratum,
+)
 from qsmooth.errors import IrrelevantStratum, NotHomogeneous, ParseError
 from qsmooth.linsys import monomial_system
 from qsmooth.linalg import IntMatrix
@@ -119,6 +126,24 @@ class TestIrrelevantComponents:
 
     def test_product_of_lines(self):
         assert sorted(irrelevant_components(P1xP1)) == [(0, 1), (2, 3)]
+
+    def test_size_bound_matches_unbounded_search(self, blowup_fan_ambient):
+        rng = random.Random(9_101)
+        fans = [projective_fan(n) for n in (1, 2, 3, 5)]
+        fans += [P1xP1, INDEX_TWO_FAN, WEIGHTED_235, blowup_fan_ambient.fan]
+        fans += [random_complete_fan_2d(rng, rng.randint(3, 8)) for _ in range(10)]
+        fans += [random_complete_fan_3d(rng, max_rays=9) for _ in range(10)]
+        # incomplete fans: a few random cones on up to nine rays
+        for _ in range(30):
+            rays = primitive_rays(rng, rng.randint(1, 9), width=3)
+            cones = {
+                tuple(sorted(rng.sample(range(len(rays)), rng.randint(1, len(rays)))))
+                for _ in range(rng.randint(1, 4))
+            }
+            maximal = [c for c in cones if not any(set(c) < set(d) for d in cones)]
+            fans.append(Fan(lattice_rank=3, rays=rays, max_cones=tuple(maximal)))
+        for fan in fans:
+            assert irrelevant_components(fan) == irrelevant_components_unbounded(fan)
 
     def test_blowup_fan_components(self, blowup_fan_ambient):
         assert sorted(blowup_fan_ambient.irrelevant) == sorted(
