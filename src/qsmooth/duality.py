@@ -40,6 +40,11 @@ class InducedSystem:
     points: tuple[tuple[int, ...], ...]
 
 
+def _same_lattice(p1: _poly.LatticePolytope, p2: _poly.LatticePolytope) -> None:
+    if p1.dim_ambient != p2.dim_ambient:
+        raise DimensionMismatch("polytopes live in different ambient lattices")
+
+
 def good_pair_check(
     p1: _poly.LatticePolytope, p2: _poly.LatticePolytope
 ) -> GoodPair:
@@ -49,8 +54,7 @@ def good_pair_check(
     record the canonicality flag as False, with ``p2star_integral`` telling
     the two apart.
     """
-    if p1.dim_ambient != p2.dim_ambient:
-        raise DimensionMismatch("polytopes live in different ambient lattices")
+    _same_lattice(p1, p2)
     if not (p1.is_full_dim and p2.is_full_dim):
         raise NotFullDim("good pairs need full-dimensional polytopes")
     contains = all(p2.contains(v) for v in p1.vertices)
@@ -83,6 +87,7 @@ def induced_system(
     vertices, that hull is P1, so the vertex rows are the rows of P1's
     vertices and no hull is computed.
     """
+    _same_lattice(p1, p2)
     fan = _poly.normal_fan(p2)
     ambient = _toric.ToricAmbient.from_fan(fan)
     points = tuple(_poly.lattice_points(p1))
@@ -108,6 +113,7 @@ def dual_pair(
     Raises when either polar has a non-integral vertex; no rounding is
     ever attempted.
     """
+    _same_lattice(p1, p2)
     p2_star = _poly.polar_dual(p2)
     p1_star = _poly.polar_dual(p1)
     if not (_poly.has_integral_vertices(p2_star) and _poly.has_integral_vertices(p1_star)):

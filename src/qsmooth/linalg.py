@@ -380,18 +380,3 @@ def solve_rational(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple
         raise SingularMatrix("matrix is singular over the rationals")
     (x,) = e.kernel()
     return tuple(Fraction(-y, x[n]) for y in x[:n])
-
-
-def rational_kernel_basis(rows: Sequence[Sequence[int]], width: int | None = None) -> list[Vector]:
-    """Primitive integer vectors spanning {x : M x = 0} over the rationals.
-
-    The basis is the one Gauss-Jordan elimination gives (see
-    ``Echelon.kernel``), so it depends only on the row space of ``M``.
-    ``width`` must be given when ``rows`` is empty (kernel = whole space).
-    """
-    rows = _as_int_rows(rows)
-    if not rows:
-        if width is None:
-            raise EmptyInput("kernel of an empty matrix needs an explicit width")
-        return Echelon(width).kernel()
-    return _echelon(rows, len(rows[0])).kernel()

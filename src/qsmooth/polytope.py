@@ -5,13 +5,11 @@ Polytopes are stored with explicit vertex lists, facet inequalities
 affine-hull equations.  Vertices and facet incidences are found by an
 incremental beneath-beyond hull in integer arithmetic on a
 full-dimensional projection of the points.  The facet inequalities are
-listed the first time a polytope's ``facets`` is read, in a fixed order
-with normals in ambient coordinates (a full-dimensional hull reuses the
-normals the hull found), so the facet list depends only on the input
-points and their order; a caller that needs only the vertices (as
-``linsys.monomial_system`` does) never pays for it.  Lattice points of a
-full-dimensional polytope are found fibre by fibre along the last
-coordinate.
+listed the first time a polytope's ``facets`` is read, in a fixed order,
+from the normals the hull found, so the facet list depends only on the
+input points and their order; a caller that needs only the vertices (as
+``linsys.monomial_system`` does) never pays for it.  Lattice points are
+found fibre by fibre along the last coordinate.
 
 Lower-dimensional polytopes are kept in their ambient coordinates rather
 than being projected; the affine hull is recorded as equations.
@@ -40,14 +38,7 @@ from .errors import (
     ParseError,
     read_input,
 )
-from .linalg import (
-    Echelon,
-    _int_vector,
-    dot,
-    primitive,
-    rational_kernel_basis,
-    vector_sub,
-)
+from .linalg import Echelon, _int_vector, dot, primitive, vector_sub
 
 Coord = Union[int, Fraction]
 Point = tuple[Coord, ...]
@@ -311,47 +302,31 @@ def _hull_parts(pts: list[tuple[int, ...]]):
             meet[i] &= m
     vertices = {p for i, p in enumerate(core) if meet[i] == 1 << i}
     flags = [p in vertices for p in pts]
-    return dim, equations, flags, lambda: _list_facets(core, proj, planes, span)
+    return dim, equations, flags, lambda: _list_facets(proj, planes, span)
 
 
-def _list_facets(core, proj, planes, span: Echelon) -> list[Facet]:
-    """Facet inequalities of the hull of ``core`` from the hull's facets.
+def _list_facets(proj, planes, span: Echelon) -> list[Facet]:
+    """Facet inequalities of the hull from the normals the hull found.
 
     ``planes`` maps each facet's primitive inner normal and offset, in the
-    projected coordinates ``proj``, to its incidence mask.  The facets are
-    listed in the order of the lexicographically first affinely
-    independent ``dim``-subset of their support.  A full-dimensional hull
-    projects onto a permutation of its coordinates, so each normal is its
-    key's normal with that permutation undone.  Otherwise each normal is
-    the first vector of the kernel of that subset that does not vanish on
-    the affine hull (a primitive vector), with its sign fixed so that the
-    hull lies on the nonnegative side.  A hyperplane has one primitive
-    inner normal, so both ways give the same facets.
+    coordinates ``span.pivots`` of the projected points ``proj``, to its
+    incidence mask.  Each facet's ambient normal is its key's normal at
+    the pivot coordinates and zero elsewhere, with the key's offset.  It
+    is primitive, and its product with any point equals the key normal's
+    product with the point's projection, so it cuts the facet out of the
+    hull with the hull on its nonnegative side.  The facets are listed in
+    the order of the lexicographically first affinely independent
+    ``dim``-subset of their support.
     """
-    n = len(core[0])
-    dim = span.rank
-    order = sorted((_affine_basis(proj, m, dim)[0], key, m) for key, m in planes.items())
+    n = span.width
+    pivots = span.pivots
+    order = sorted((_affine_basis(proj, m, span.rank)[0], key) for key, m in planes.items())
     facets: list[Facet] = []
-    if dim == n:
-        pivots = span.pivots
-        for _, (normal, offset), _ in order:
-            ambient = [0] * n
-            for j, x in zip(pivots, normal):
-                ambient[j] = x
-            facets.append(Facet(tuple(ambient), offset))
-        return facets
-    for basis, _, mask in order:
-        s0 = core[basis[0]]
-        kernel = rational_kernel_basis(
-            [vector_sub(core[i], s0) for i in basis[1:]], width=n
-        )
-        normal = next(v for v in kernel if any(dot(v, row) for _, row in span.rows))
-        pivot = dot(normal, s0)
-        off = next(i for i in range(len(core)) if not mask >> i & 1)
-        if dot(normal, core[off]) < pivot:
-            normal = tuple(-x for x in normal)
-            pivot = -pivot
-        facets.append(Facet(normal, pivot))
+    for _, (normal, offset) in order:
+        ambient = [0] * n
+        for j, x in zip(pivots, normal):
+            ambient[j] = x
+        facets.append(Facet(tuple(ambient), offset))
     return facets
 
 
@@ -414,20 +389,23 @@ MAX_BOX_POINTS = 10**6
 
 
 def _box_scan(p: LatticePolytope, strict: bool) -> Iterator[tuple[int, ...]]:
-    """Integer points of P (strictly inside when ``strict``), in lexicographic order.
+    """Integer points of P (relatively interior when ``strict``), in lexicographic order.
 
     The points are searched for in the bounding box of the vertices.  If
     that box has more than ``MAX_BOX_POINTS`` points, ``BoxTooLarge`` is
-    raised at once, before any point is yielded.  The limit is on the whole
-    box, not on the box of the first n - 1 coordinates that the fibre scan
-    walks: a single fibre can hold any number of points.
+    raised before any point is yielded.  The limit is on the whole box,
+    not on the box of the first n - 1 coordinates that the scan walks: a
+    single fibre can hold any number of points.
 
-    A full-dimensional P of positive dimension is scanned by fibres.  For
-    each point y of the box of the first n - 1 coordinates, every facet
-    ``<a, (y, t)> >= b`` bounds the last coordinate t by an exact floor or
-    ceiling division (``Fraction // int`` is exact too), and the integers
-    between the bounds are yielded.  Any other P is scanned point by point
-    with ``contains``.
+    P is scanned by fibres.  Every facet ``<a, x> >= b`` and both sides
+    of every affine-hull equation ``<a, x> == b`` give a bound
+    ``<a, x> >= b``; over integer points a strict facet inequality is the
+    bound with ``b`` replaced by ``floor(b) + 1``, while the equations stay
+    exact.  For each point y of the box of the first n - 1 coordinates,
+    each bound ``<a, (y, t)> >= b`` bounds the last coordinate t by an
+    exact floor or ceiling division (``Fraction // int`` is exact too),
+    and the integers between the bounds are yielded.  The lattice of
+    rank 0 holds the one point ``()``.
     """
     ranges = []
     for j in range(p.dim_ambient):
@@ -438,28 +416,27 @@ def _box_scan(p: LatticePolytope, strict: bool) -> Iterator[tuple[int, ...]]:
         raise BoxTooLarge(
             f"lattice-point scan of a box with {size} points exceeds the limit of {MAX_BOX_POINTS}"
         )
-    if p.is_full_dim and p.dim_ambient:
-        return _fibre_scan(p, ranges, strict)
-    return (cand for cand in itertools.product(*ranges) if p.contains(cand, strict))
-
-
-def _fibre_scan(p: LatticePolytope, ranges: list[range], strict: bool):
-    """The fibre scan of ``_box_scan`` over the box ``ranges``."""
-    bounds = [(f.normal[:-1], f.normal[-1], f.offset) for f in p.facets]
+    if not ranges:
+        yield ()
+        return
+    bounds = [(f.normal, floor(f.offset) + 1 if strict else f.offset) for f in p.facets]
+    for e in p.equations:
+        bounds += [(e.normal, e.value), (tuple(-x for x in e.normal), -e.value)]
+    bounds = [(a[:-1], a[-1], b) for a, b in bounds]
     first, last = ranges[-1].start, ranges[-1].stop - 1
     for head in itertools.product(*ranges[:-1]):
         low, high = first, last
         for a, c, b in bounds:
-            rest = b - sum(map(mul, a, head))  # the facet reads c * t >= rest
+            rest = b - sum(map(mul, a, head))  # the bound reads c * t >= rest
             if c > 0:
-                t = rest // c + 1 if strict else -(-rest // c)
+                t = -(-rest // c)
                 if t > low:
                     low = t
             elif c < 0:
-                t = -(-rest // c) - 1 if strict else rest // c
+                t = rest // c
                 if t < high:
                     high = t
-            elif rest > 0 or (strict and rest == 0):
+            elif rest > 0:
                 break
         else:
             for t in range(low, high + 1):
@@ -469,9 +446,8 @@ def _fibre_scan(p: LatticePolytope, ranges: list[range], strict: bool):
 def lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     """All integer points of a (lattice or rational) bounded polytope.
 
-    Found by ``_box_scan``: fibre by fibre along the last coordinate when
-    P is full-dimensional, else point by point in the bounding box of the
-    vertices.  Order is lexicographic, so output is deterministic.
+    Found by ``_box_scan``, fibre by fibre along the last coordinate, in
+    lexicographic order, so output is deterministic.
     """
     return list(_box_scan(p, strict=False))
 
@@ -490,7 +466,7 @@ def is_canonical(p: LatticePolytope) -> bool:
     """
     if not p.is_full_dim:
         raise NotFullDim("canonicality needs a full-dimensional polytope")
-    if any(isinstance(x, Fraction) and x.denominator != 1 for v in p.vertices for x in v):
+    if not has_integral_vertices(p):
         raise NotLatticePolytope("canonicality is defined for lattice polytopes")
     origin = (0,) * p.dim_ambient
     found = False
@@ -530,7 +506,7 @@ def as_lattice(p: RationalPolytope) -> LatticePolytope:
 
 
 def has_integral_vertices(p: LatticePolytope) -> bool:
-    return all(Fraction(x).denominator == 1 for v in p.vertices for x in v)
+    return all(x.denominator == 1 for v in p.vertices for x in v)  # int or Fraction
 
 
 def normal_fan(p: LatticePolytope):

@@ -293,6 +293,17 @@ class TestPolytopeCommands:
                 assert "box with 1000006000012000008 points exceeds the limit" in report
                 assert ("[error]" in report) == (output == "machine")
 
+    def test_polytopes_in_different_lattices_are_an_input_error(self, tmp_path):
+        triangle = tmp_path / "triangle.txt"
+        simplex = tmp_path / "simplex.txt"
+        triangle.write_text("1 0\n0 1\n-1 -1\n", encoding="utf-8")
+        simplex.write_text("1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n", encoding="utf-8")
+        message = "polytopes live in different ambient lattices"
+        for command in ("goodpair", "dualize", "induce"):
+            pair = [command, "--p1", str(triangle), "--p2", str(simplex)]
+            assert run_cli(pair) == (2, f"error: {message}")
+            assert run_cli(pair + ["--output", "machine"]) == (2, f"[error]\nmessage = {message}")
+
     def test_dualize_emits_two_polytopes(self):
         code, report = run_cli(
             [
@@ -331,6 +342,17 @@ class TestPolytopeCommands:
         from qsmooth.qscheck import is_quasismooth
 
         assert is_quasismooth(sys_).quasismooth
+
+    def test_induce_from_a_segment(self, tmp_path):
+        # P1 is lower-dimensional, so its lattice points come from the
+        # fibre scan's equation bounds
+        segment = tmp_path / "segment.txt"
+        triangle = tmp_path / "triangle.txt"
+        segment.write_text("0 0\n1 0\n", encoding="utf-8")
+        triangle.write_text("1 0\n0 1\n-1 -1\n", encoding="utf-8")
+        code, report = run_cli(["induce", "--p1", str(segment), "--p2", str(triangle)])
+        assert code == 0
+        assert report.split("# induced monomials\n")[1] == "1 1 1\n0 0 3"
 
     def test_induce_roundtrip_through_check(self, tmp_path):
         out_amb = tmp_path / "amb.txt"

@@ -120,7 +120,7 @@ class TestVertexRowsWithoutFacets:
         def refuse(*args, **kwargs):
             raise AssertionError("facets were listed")
 
-        monkeypatch.setattr(qsmooth.polytope, "rational_kernel_basis", refuse)
+        monkeypatch.setattr(qsmooth.polytope, "_list_facets", refuse)
 
     def test_random_fan_systems(self, monkeypatch):
         rng = random.Random(93_939)

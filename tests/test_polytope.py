@@ -492,6 +492,30 @@ class TestFibreScanDifferential:
         # every dimension 1-4 was seen full- and lower-dimensional, lattice and rational
         assert len(kinds) == 16
 
+    @pytest.mark.parametrize(
+        "vertices, count, interior",
+        [
+            # x0 + x1 = 2: the equation leaves the last coordinate free
+            ([(0, 2, 0), (2, 0, 0), (0, 2, 3), (2, 0, 3)], 12, 2),
+            # x0 + 2 x2 = 2: the last coordinate is not an integer on odd x0
+            ([(0, 0, 1), (2, 0, 0), (0, 3, 1), (2, 3, 0)], 8, 0),
+        ],
+    )
+    def test_planes_in_three_space(self, vertices, count, interior):
+        p = hull(vertices)
+        assert (p.dim, p.dim_ambient) == (2, 3)
+        points = list(_box_scan(p, False))
+        inside = list(_box_scan(p, True))
+        assert points == box_scan_points(p, False) == lattice_points(p)
+        assert inside == box_scan_points(p, True)
+        assert (len(points), len(inside)) == (count, interior)
+
+    def test_rank_zero_lattice_holds_one_point(self):
+        p = hull([()])
+        for strict in (False, True):
+            assert list(_box_scan(p, strict)) == box_scan_points(p, strict) == [()]
+        assert lattice_points(p) == [()]
+
     def test_is_canonical_stops_at_the_same_answer(self):
         polytopes = [p for p in self._polytopes() if p.is_full_dim]
         polytopes += [random_canonical_polytope(random.Random(7_204), 3) for _ in range(10)]
