@@ -142,6 +142,10 @@ def _wps_data(cfg: RunConfig):
         raise QsmoothError("ambient is not a (fake) weighted projective space")
     weights = sys_.ambient.grading.free_part.entries[0]
     degree = sys_.degree[0][0]
+    if weights[0] < 0:
+        # a fan's class group row may come out negated; the weights of a
+        # fake weighted projective space all have one sign
+        weights, degree = tuple(-w for w in weights), -degree
     return sys_, weights, degree
 
 

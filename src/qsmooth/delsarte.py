@@ -27,10 +27,9 @@ from .errors import (
 )
 from .linalg import _int_vector, solve_rational
 from .qscheck import (
-    FailureReason,
     Method,
     QSVerdict,
-    StratumFailure,
+    _first_failing_stratum,
     has_generator_row,
 )
 
@@ -82,25 +81,17 @@ def wps_check(sys: _linsys.MonomialSystem) -> QSVerdict:
     Every base stratum C needs at least ``num_vars - |C|`` nonempty faces.
     The only irrelevant component is the whole variable set, so the base
     strata are the nonempty proper subsets that every vertex monomial
-    meets.  The rows whose C-exponents sum to 1 are the face supports, each
-    the unit vector e_rho on C, so the rank of that slice is ``k``.
+    meets, and the bound is at least 1.  The rows whose C-exponents sum to
+    1 are the face supports, each the unit vector e_rho on C, so the rank
+    of that slice is ``k``, read off the ``BaseStratum`` by the loop shared
+    with the closed-form checkers.
     """
     if not sys.ambient.is_fake_wps():
         raise NotFakeWPS("ambient is not a fake weighted projective space")
     if has_generator_row(sys):
         raise GeneratorInBasis("criterion assumes no generator in the basis")
     r = sys.num_vars
-    for st in _linsys.base_locus_strata(sys):
-        if st.k == 0:
-            reason = FailureReason.ALL_FACES_EMPTY
-        elif st.k < r - len(st.variables):
-            reason = FailureReason.NO_DEGENERATE_SUBCOLLECTION
-        else:
-            continue
-        return QSVerdict(
-            False, Method.WPS, failure=StratumFailure(st.variables, reason)
-        )
-    return QSVerdict(True, Method.WPS)
+    return _first_failing_stratum(sys, Method.WPS, lambda st: st.k >= r - len(st.variables))
 
 
 def _validate_square_homogeneous(

@@ -202,10 +202,6 @@ class FaceTable:
         return face
 
 
-def _hits(row: Row, c: Iterable[int]) -> bool:
-    return any(row[j] > 0 for j in c)
-
-
 def _mask(variables: Iterable[int]) -> int:
     m = 0
     for j in variables:
@@ -266,28 +262,26 @@ def base_locus_strata(sys: MonomialSystem) -> list[BaseStratum]:
     return [table.stratum(cmask) for cmask in found]
 
 
-def is_base_stratum(sys: MonomialSystem, c: Iterable[int]) -> bool:
-    cs = tuple(sorted(set(c)))
-    if not cs or not sys.ambient.is_relevant(cs):
-        return False
-    return all(_hits(row, cs) for row in sys.vertex_exponents())
-
-
 def base_stratum(sys: MonomialSystem, c: Iterable[int]) -> BaseStratum:
     """The ``BaseStratum`` of a variable subset, with its face supports.
 
     The face polytope at rho is the hull of the supporting rows shifted by
     -e_rho; it is a face of the Newton polytope, so vertex rows suffice.
     A ``BaseStratum`` (as listed by ``base_locus_strata``) is returned as
-    it is; any other iterable of variables is validated first and gets a
-    ``FaceTable`` of its own.
+    it is.  Any other iterable of variables gets a ``FaceTable`` of its
+    own, and must pass the listing's tests on it: variables in
+    ``range(num_vars)``, no irrelevant component, and a meet with the
+    support mask of every vertex row.  Otherwise ``NotBaseStratum`` is
+    raised.
     """
     if isinstance(c, BaseStratum):
         return c
     cs = tuple(sorted(set(c)))
-    if not is_base_stratum(sys, cs):
-        raise NotBaseStratum(f"{cs} is not a base-locus stratum")
-    return FaceTable(sys).stratum(_mask(cs))
+    if all(j in range(sys.num_vars) for j in cs) and sys.ambient.is_relevant(cs):
+        table, cmask = FaceTable(sys), _mask(cs)
+        if all(support & cmask for support in table.supports):
+            return table.stratum(cmask)
+    raise NotBaseStratum(f"{cs} is not a base-locus stratum")
 
 
 # ---------------------------------------------------------------------------

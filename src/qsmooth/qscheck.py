@@ -22,10 +22,13 @@ itself, and whole results are compared.  A gamma of several faces is
 ranked on its own, per stratum.
 
 Strata are quantified over relevant zero patterns; on non-simplicial fans
-this is a conservative superset of the per-cone strata.  Specialized
-closed-form checkers for curves on surfaces and surfaces on simplicial
-threefolds decide without the generic machinery, so they can serve as an
-independent oracle for it (and vice versa).
+this is a conservative superset of the per-cone strata.  The closed-form
+checkers for curves on surfaces and surfaces on simplicial threefolds, and
+``delsarte.wps_check``, decide each stratum by counting its faces, with
+no rank or span computation; all three read the faces of the
+``BaseStratum`` and share one loop over the strata.  Since they read the
+same faces as the generic tests, they are checked against the former row
+scans kept in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import linsys as _linsys
 from . import toric as _toric
@@ -249,7 +252,7 @@ def sufficient_screen(sys: _linsys.MonomialSystem, c: Iterable[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# closed-form checkers in low dimension
+# face-count rules: the closed-form checkers in low dimension
 
 
 def _require_fan(sys: _linsys.MonomialSystem, rank: int, simplicial: bool) -> None:
@@ -266,84 +269,67 @@ def _require_fan(sys: _linsys.MonomialSystem, rank: int, simplicial: bool) -> No
         raise DimensionMismatch("fan is not simplicial")
 
 
-def _one_variable_failure(vertex_exps, i: int) -> FailureReason | None:
-    """Why the stratum {x_i} fails, or None: it needs exactly one monomial
-    with exponent 1 in x_i."""
-    count = sum(1 for row in vertex_exps if row[i] == 1)
-    if count == 1:
-        return None
-    if count == 0:
-        return FailureReason.ALL_FACES_EMPTY
-    return FailureReason.NO_DEGENERATE_SUBCOLLECTION
+def _first_failing_stratum(
+    sys: _linsys.MonomialSystem,
+    method: Method,
+    passes: Callable[[_linsys.BaseStratum], bool],
+) -> QSVerdict:
+    """The verdict of a rule that decides each base stratum on its own.
+
+    Walks ``base_locus_strata`` in order and fails at the first stratum
+    ``st`` with ``passes(st)`` false: ``all_faces_empty`` when it has no
+    nonempty face (``st.k == 0``), ``no_degenerate_subcollection``
+    otherwise.
+    """
+    for st in _linsys.base_locus_strata(sys):
+        if not passes(st):
+            reason = (
+                FailureReason.ALL_FACES_EMPTY
+                if st.k == 0
+                else FailureReason.NO_DEGENERATE_SUBCOLLECTION
+            )
+            return QSVerdict(False, method, failure=StratumFailure(st.variables, reason))
+    return QSVerdict(True, method)
+
+
+def _closed_form_passes(st: _linsys.BaseStratum, rank: int) -> bool:
+    """The closed-form rule on a fan of lattice rank 2 or 3.
+
+    A stratum C passes when one of its faces has exactly one row (a single
+    face is then degenerate) or when it has more than ``rank - |C|``
+    nonempty faces.  On such fans ``|C| <= rank``, and this count is the
+    whole case analysis: with ``|C| = 1`` only the one-row clause can
+    hold, with ``|C| = rank`` any nonempty face passes, and a pair on a
+    threefold passes with two nonempty faces or one face of one row.
+    """
+    return st.k > rank - len(st.variables) or any(
+        len(rows) == 1 for _, rows in st.face_supports
+    )
 
 
 def check_curve_on_surface(sys: _linsys.MonomialSystem) -> QSVerdict:
     """Closed-form verdict for curves on a complete toric surface.
 
-    Base-point-free systems pass.  A one-variable stratum needs exactly one
-    monomial with exponent 1 in that variable; a two-variable stratum needs
-    a monomial whose two exponents there sum to 1.
+    Base-point-free systems pass.  A one-variable stratum {x_i} needs its
+    face, the monomials with exponent 1 in x_i, to be a single monomial; a
+    two-variable stratum needs a nonempty face, a monomial whose two
+    exponents there sum to 1.  The faces are those of the ``BaseStratum``.
     """
     _require_fan(sys, rank=2, simplicial=False)
-    vertex_exps = sys.vertex_exponents()
-    for st in _linsys.base_locus_strata(sys):
-        c = st.variables
-        if len(c) == 1:
-            reason = _one_variable_failure(vertex_exps, c[0])
-            if reason is None:
-                continue
-            return QSVerdict(False, Method.CURVE, failure=StratumFailure(c, reason))
-        i, j = c
-        if any(row[i] + row[j] == 1 for row in vertex_exps):
-            continue
-        return QSVerdict(
-            False,
-            Method.CURVE,
-            failure=StratumFailure(c, FailureReason.ALL_FACES_EMPTY),
-        )
-    return QSVerdict(True, Method.CURVE)
+    return _first_failing_stratum(sys, Method.CURVE, lambda st: _closed_form_passes(st, 2))
 
 
 def check_surface_on_threefold(sys: _linsys.MonomialSystem) -> QSVerdict:
     """Closed-form verdict for surfaces on a simplicial projective threefold.
 
     One-variable strata behave as on surfaces.  A two-variable stratum
-    {i, j} passes when either both patterns (1 on one variable, 0 on the
-    other) occur, or only one occurs and exactly one monomial realizes it.
-    A three-variable stratum needs a monomial with exponent sum 1 there.
+    {i, j} passes when both of its faces (1 on one variable, 0 on the
+    other) are nonempty, or only one is and it is a single monomial.  A
+    three-variable stratum needs a nonempty face, a monomial with exponent
+    sum 1 there.  The faces are those of the ``BaseStratum``.
     """
     _require_fan(sys, rank=3, simplicial=True)
-    vertex_exps = sys.vertex_exponents()
-    for st in _linsys.base_locus_strata(sys):
-        c = st.variables
-        if len(c) == 1:
-            reason = _one_variable_failure(vertex_exps, c[0])
-            if reason is None:
-                continue
-            return QSVerdict(False, Method.SURFACE, failure=StratumFailure(c, reason))
-        if len(c) == 2:
-            i, j = c
-            side_i = [row for row in vertex_exps if row[i] == 1 and row[j] == 0]
-            side_j = [row for row in vertex_exps if row[j] == 1 and row[i] == 0]
-            if side_i and side_j:
-                continue
-            lone = side_i or side_j
-            if len(lone) == 1:
-                continue
-            reason = (
-                FailureReason.ALL_FACES_EMPTY
-                if not lone
-                else FailureReason.NO_DEGENERATE_SUBCOLLECTION
-            )
-            return QSVerdict(False, Method.SURFACE, failure=StratumFailure(c, reason))
-        if any(sum(row[v] for v in c) == 1 for row in vertex_exps):
-            continue
-        return QSVerdict(
-            False,
-            Method.SURFACE,
-            failure=StratumFailure(c, FailureReason.ALL_FACES_EMPTY),
-        )
-    return QSVerdict(True, Method.SURFACE)
+    return _first_failing_stratum(sys, Method.SURFACE, lambda st: _closed_form_passes(st, 3))
 
 
 # ---------------------------------------------------------------------------

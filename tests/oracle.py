@@ -9,7 +9,8 @@ built on it are checked against code they do not share.  The former
 versions of routines that a speed-up replaced (the per-point box scan,
 the per-facet kernel facet listing, the unbounded irrelevant-component
 search) live here too, for the differential tests against their
-replacements.
+replacements, as do the former per-stratum row scans of the closed-form
+checkers and the literal definition of a base stratum.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from qsmooth.linalg import (
     smith_normal_form,
     vector_sub,
 )
-from qsmooth.linsys import BaseStratum, base_stratum, is_base_stratum
+from qsmooth.linsys import BaseStratum, base_locus_strata, base_stratum
 from qsmooth.polytope import (
     Equation,
     Facet,
@@ -53,6 +54,7 @@ from qsmooth.qscheck import (
     QSVerdict,
     StratumFailure,
     StratumWitness,
+    _require_fan,
     has_generator_row,
 )
 from qsmooth.toric import relevant_subsets
@@ -458,6 +460,19 @@ def gradings_equivalent(a, b) -> bool:
     )
 
 
+def is_base_stratum(sys, c) -> bool:
+    """A nonempty relevant subset that meets the support of every vertex row.
+
+    The literal definition, which ``linsys.base_stratum`` tests on the
+    support masks of its ``FaceTable`` instead; this is the package's
+    former ``linsys.is_base_stratum``.
+    """
+    cs = tuple(sorted(set(c)))
+    if not cs or not sys.ambient.is_relevant(cs):
+        return False
+    return all(any(sys.exponents[i][j] > 0 for j in cs) for i in sys.vertex_rows)
+
+
 def m_gamma(sys, c, gamma) -> tuple[int, ...]:
     """Vertex rows with coordinate sum 1 on gamma, vanishing on C minus gamma.
 
@@ -688,6 +703,90 @@ def wps_check_subsets(sys) -> QSVerdict:
                     ),
                 )
     return QSVerdict(True, Method.WPS)
+
+
+def _one_variable_failure(vertex_exps, i):
+    """Why the stratum {x_i} fails, or None: it needs exactly one monomial
+    with exponent 1 in x_i."""
+    count = sum(1 for row in vertex_exps if row[i] == 1)
+    if count == 1:
+        return None
+    if count == 0:
+        return FailureReason.ALL_FACES_EMPTY
+    return FailureReason.NO_DEGENERATE_SUBCOLLECTION
+
+
+def check_curve_on_surface_scan(sys) -> QSVerdict:
+    """Closed-form verdict for curves on a complete toric surface.
+
+    Base-point-free systems pass.  A one-variable stratum needs exactly one
+    monomial with exponent 1 in that variable; a two-variable stratum needs
+    a monomial whose two exponents there sum to 1.  This is the package's
+    former ``qscheck.check_curve_on_surface``, which scanned the vertex rows
+    per stratum instead of reading the faces of the ``BaseStratum``.
+    """
+    _require_fan(sys, rank=2, simplicial=False)
+    vertex_exps = sys.vertex_exponents()
+    for st in base_locus_strata(sys):
+        c = st.variables
+        if len(c) == 1:
+            reason = _one_variable_failure(vertex_exps, c[0])
+            if reason is None:
+                continue
+            return QSVerdict(False, Method.CURVE, failure=StratumFailure(c, reason))
+        i, j = c
+        if any(row[i] + row[j] == 1 for row in vertex_exps):
+            continue
+        return QSVerdict(
+            False,
+            Method.CURVE,
+            failure=StratumFailure(c, FailureReason.ALL_FACES_EMPTY),
+        )
+    return QSVerdict(True, Method.CURVE)
+
+
+def check_surface_on_threefold_scan(sys) -> QSVerdict:
+    """Closed-form verdict for surfaces on a simplicial projective threefold.
+
+    One-variable strata behave as on surfaces.  A two-variable stratum
+    {i, j} passes when either both patterns (1 on one variable, 0 on the
+    other) occur, or only one occurs and exactly one monomial realizes it.
+    A three-variable stratum needs a monomial with exponent sum 1 there.
+    This is the package's former ``qscheck.check_surface_on_threefold``,
+    which scanned the vertex rows per stratum.
+    """
+    _require_fan(sys, rank=3, simplicial=True)
+    vertex_exps = sys.vertex_exponents()
+    for st in base_locus_strata(sys):
+        c = st.variables
+        if len(c) == 1:
+            reason = _one_variable_failure(vertex_exps, c[0])
+            if reason is None:
+                continue
+            return QSVerdict(False, Method.SURFACE, failure=StratumFailure(c, reason))
+        if len(c) == 2:
+            i, j = c
+            side_i = [row for row in vertex_exps if row[i] == 1 and row[j] == 0]
+            side_j = [row for row in vertex_exps if row[j] == 1 and row[i] == 0]
+            if side_i and side_j:
+                continue
+            lone = side_i or side_j
+            if len(lone) == 1:
+                continue
+            reason = (
+                FailureReason.ALL_FACES_EMPTY
+                if not lone
+                else FailureReason.NO_DEGENERATE_SUBCOLLECTION
+            )
+            return QSVerdict(False, Method.SURFACE, failure=StratumFailure(c, reason))
+        if any(sum(row[v] for v in c) == 1 for row in vertex_exps):
+            continue
+        return QSVerdict(
+            False,
+            Method.SURFACE,
+            failure=StratumFailure(c, FailureReason.ALL_FACES_EMPTY),
+        )
+    return QSVerdict(True, Method.SURFACE)
 
 
 def drop_midpoints_pairs(pts):

@@ -247,6 +247,33 @@ class TestDelsarteCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["delsarte", "transpose"])
+    @pytest.mark.parametrize("output", ["text", "machine"])
+    def test_fan_with_negated_class_group_row(self, command, output):
+        # the class group row of this fake weighted projective space comes
+        # out as (-1, -3, -5); the commands must read it as weights (1, 3, 5)
+        import pathlib
+
+        fan = pathlib.Path(self.tmp, "fan.txt")
+        fan.write_text(
+            "[rays]\n1 1\n-7 -2\n4 1\n[cones]\n1 2\n2 3\n1 3\n", encoding="utf-8"
+        )
+        quotient = pathlib.Path(self.tmp, "quotient.txt")
+        quotient.write_text("[grading]\n1 3 5\n[irrelevant]\n1 2 3\n", encoding="utf-8")
+        fermat = pathlib.Path(self.tmp, "fermat.txt")
+        fermat.write_text("15 0 0\n0 5 0\n0 0 3\n", encoding="utf-8")
+        reports = []
+        for ambient in (fan, quotient):
+            code, report = run_cli(
+                [command, "--ambient", str(ambient), "--monomials", str(fermat),
+                 "--output", output]
+            )
+            assert code == 0
+            reports.append(report)
+        assert reports[0] == reports[1]
+        if command == "delsarte" and output == "text":
+            assert reports[0] == "decomposition: fermat(x1^15) + fermat(x2^5) + fermat(x3^3)"
+
 
 class TestPolytopeCommands:
     def test_goodpair(self):

@@ -40,6 +40,7 @@ from qsmooth.qscheck import (
     check_stratum_polytope,
     check_stratum_rank,
     is_quasismooth,
+    sufficient_screen,
 )
 from qsmooth.toric import Fan, ToricAmbient, make_wps
 
@@ -307,6 +308,15 @@ class TestBaseStrataDifferential:
                 check(product_system, (0,))
             with pytest.raises(NotBaseStratum):
                 check(product_system, [2, 1, 0, 3, 4])
+
+    @pytest.mark.parametrize("c", [(99,), (0, 99), (2, 99), (-1,), (-1, 2)])
+    def test_variables_out_of_range_rejected(self, c):
+        # (2,) is a base stratum here, so (2, 99) and (-1, 2) meet every row
+        sys_ = monomial_system(make_wps([1, 1, 1]), [(0, 0, 3), (1, 0, 2)])
+        assert (2,) in [st.variables for st in base_locus_strata(sys_)]
+        for check in (base_stratum, check_stratum_rank, check_stratum_polytope, sufficient_screen):
+            with pytest.raises(NotBaseStratum, match=r"^\(.*\) is not a base-locus stratum$"):
+                check(sys_, c)
 
     def test_base_stratum_iterates_over_its_variables(self, product_system):
         for st in base_locus_strata(product_system):

@@ -5,8 +5,20 @@ import random
 import pytest
 
 import qsmooth.qscheck as qscheck
-from generators import random_fan_system, random_product_system
-from oracle import check_stratum_rank_unrestricted, m_gamma, necessary_screen
+from generators import (
+    random_complete_fan_2d,
+    random_complete_fan_3d,
+    random_fan_system,
+    random_product_system,
+    random_system,
+)
+from oracle import (
+    check_curve_on_surface_scan,
+    check_stratum_rank_unrestricted,
+    check_surface_on_threefold_scan,
+    m_gamma,
+    necessary_screen,
+)
 from qsmooth.errors import (
     DimensionMismatch,
     GeneratorInBasis,
@@ -495,6 +507,43 @@ class TestLowDimensionCheckers:
                 == is_quasismooth(sys_).quasismooth
             )
             checked += 1
+
+    @pytest.mark.parametrize(
+        "dim, check, scan, pairs",
+        [
+            (2, check_curve_on_surface, check_curve_on_surface_scan, 3),
+            (3, check_surface_on_threefold, check_surface_on_threefold_scan, 5),
+        ],
+    )
+    def test_whole_verdicts_match_the_row_scans(self, dim, check, scan, pairs):
+        # small exponents and many monomials make passing verdicts common
+        # enough; dropping rows reaches every (|C|, reason) pair
+        rng = random.Random(90 + dim)
+        seen, passed, checked = set(), 0, 0
+        while checked < 1000:
+            fan = (
+                random_complete_fan_2d(rng, rng.randint(3, 7))
+                if dim == 2
+                else random_complete_fan_3d(rng)
+            )
+            ambient = ToricAmbient.from_fan(fan)
+            sys_ = random_system(
+                rng, ambient, fan, max_exp=rng.randint(2, 4), max_monomials=rng.randint(4, 30)
+            )
+            if sys_ is None:
+                continue
+            if rng.random() < 0.5 and sys_.num_monomials > 2:
+                size = rng.randint(2, sys_.num_monomials - 1)
+                sys_ = monomial_system(ambient, rng.sample(sys_.exponents, size))
+            verdict = check(sys_)
+            assert verdict == scan(sys_)
+            if verdict.quasismooth:
+                passed += 1
+            else:
+                seen.add((len(verdict.failure.stratum), verdict.failure.reason))
+            checked += 1
+        assert passed > 0
+        assert len(seen) == pairs
 
 
 class TestNewtonInvariance:
