@@ -13,8 +13,15 @@ report:
   files and run through the same four system commands.  Their outputs
   are stored as one SHA-256 prefix per system in
   ``golden/criterion06.txt``.
+- ``delsarte`` and ``transpose`` in text and machine output on seeded
+  square systems on weighted projective spaces: atomic sums, square
+  matrices with entries 0-4 (most of them not decomposable, some with a
+  cross term x_i*x_j), and two kinds of bad input that exit 2: a system
+  with one row fewer than variables, and a degree that does not exceed
+  every weight.  The work directory is written ``<work>``.  They are
+  stored in full in ``golden/delsarte.txt``.
 
-Regenerate both files by hand with ``python3 tests/make_golden.py``,
+Regenerate the files by hand with ``python3 tests/make_golden.py``,
 only when an output is meant to change.
 """
 
@@ -25,19 +32,26 @@ import itertools
 import random
 from pathlib import Path
 
-from generators import random_fan_system
+from generators import (
+    _monomials_of_degree,
+    random_atomic_sum,
+    random_fan_system,
+    wps_weights_for,
+)
 from qsmooth.cli import RunConfig, run
 from qsmooth.linsys import format_monomials
-from qsmooth.toric import format_ambient
+from qsmooth.toric import format_ambient, make_wps
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 CLI_OUTPUTS = GOLDEN / "cli_outputs.txt"
 CRITERION06 = GOLDEN / "criterion06.txt"
+DELSARTE = GOLDEN / "delsarte.txt"
 HEADER = "### "
 METHODS = ("both", "rank", "polytope")
 CRITERION06_SEED = 60_601
 CRITERION06_SYSTEMS = 1000
+DELSARTE_SEED = 71_301
 
 
 def _render(cfg: RunConfig, placeholders: dict[str, str]) -> str:
@@ -93,6 +107,54 @@ def criterion06_digests(workdir: Path) -> list[str]:
             sha.update(_render(cfg, places).encode("utf-8"))
         digests.append(sha.hexdigest()[:20])
     return digests
+
+
+def _wps_square_cases(rng: random.Random):
+    """(label, weights, rows) of every Delsarte case, in a fixed order."""
+    for i in range(1, 13):
+        _, rows = random_atomic_sum(rng, rng.randint(1, 6), max_exp=5)
+        yield f"atomic {i}", wps_weights_for(rows)[0], rows
+    found = 0
+    while found < 12:
+        n = rng.randint(2, 4)
+        rows = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(n)]
+        if found < 4:
+            i, j = rng.sample(range(n), 2)
+            rows[0] = tuple(int(k in (i, j)) for k in range(n))
+        pair = wps_weights_for(rows) if len(set(rows)) == n else None
+        if pair is None or any(pair[1] <= w for w in pair[0]) or any(sum(r) < 2 for r in rows):
+            continue
+        found += 1
+        yield f"square {found}", pair[0], rows
+    for i in range(1, 5):
+        _, rows = random_atomic_sum(rng, rng.randint(2, 5), max_exp=5)
+        weights = wps_weights_for(rows)[0]
+        yield f"not square {i}", weights, rows[:-1]
+    found = 0
+    while found < 4:
+        weights = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 3)))
+        pool = _monomials_of_degree(weights, rng.randint(1, max(weights)))
+        if len(pool) < len(weights):
+            continue
+        found += 1
+        yield f"degree too small {found}", weights, rng.sample(pool, len(weights))
+
+
+def delsarte_outputs(workdir: Path) -> dict[str, str]:
+    """``delsarte`` and ``transpose`` outputs of every Delsarte case."""
+    rng = random.Random(DELSARTE_SEED)
+    ambient_path = workdir / "ambient.txt"
+    monomials_path = workdir / "monomials.txt"
+    places = {str(workdir): "<work>"}
+    outputs = {}
+    for label, weights, rows in _wps_square_cases(rng):
+        ambient_path.write_text(format_ambient(make_wps(weights)), encoding="utf-8")
+        monomials_path.write_text(format_monomials(rows), encoding="utf-8")
+        for command in ("delsarte", "transpose"):
+            for output in ("text", "machine"):
+                cfg = RunConfig(command, str(ambient_path), str(monomials_path), output=output)
+                outputs[f"{command} {output} {label}"] = _render(cfg, places)
+    return outputs
 
 
 def format_cli_outputs(outputs: dict[str, str]) -> str:

@@ -23,9 +23,12 @@ def main() -> None:
     gc.CLI_OUTPUTS.write_text(gc.format_cli_outputs(outputs), encoding="utf-8")
     with tempfile.TemporaryDirectory() as work:
         digests = gc.criterion06_digests(Path(work))
+        delsarte = gc.delsarte_outputs(Path(work))
     gc.CRITERION06.write_text(gc.format_criterion06(digests), encoding="utf-8")
+    gc.DELSARTE.write_text(gc.format_cli_outputs(delsarte), encoding="utf-8")
     print(f"wrote {len(outputs)} outputs to {gc.CLI_OUTPUTS}")
     print(f"wrote {len(digests)} system digests to {gc.CRITERION06}")
+    print(f"wrote {len(delsarte)} outputs to {gc.DELSARTE}")
 
 
 if __name__ == "__main__":

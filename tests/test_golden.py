@@ -32,3 +32,12 @@ def test_criterion06_systems(tmp_path):
     assert len(expected) == gc.CRITERION06_SYSTEMS
     mismatched = [i for i, (a, b) in enumerate(zip(digests, expected), start=1) if a != b]
     assert not mismatched, f"systems whose outputs changed: {mismatched[:20]}"
+
+
+def test_delsarte_outputs(tmp_path):
+    expected = gc.parse_cli_outputs(gc.DELSARTE.read_text(encoding="utf-8"))
+    outputs = gc.delsarte_outputs(tmp_path)
+    assert list(outputs) == list(expected)
+    assert len(outputs) == 128
+    mismatched = [name for name in outputs if outputs[name] != expected[name]]
+    assert not mismatched, f"cases whose outputs changed: {mismatched[:20]}"
