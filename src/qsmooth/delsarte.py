@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 from . import linsys as _linsys
 from . import toric as _toric
 from .errors import (
     DegreeTooSmall,
+    EmptyInput,
     GeneratorInBasis,
     InvariantViolation,
     NoPositiveSolution,
@@ -98,10 +99,15 @@ def _validate_square_homogeneous(
     rows: Sequence[Sequence[int]], weights: Sequence[int]
 ) -> int:
     n = len(rows)
+    if not n:
+        raise EmptyInput("exponent matrix needs at least one row")
     if any(len(r) != n for r in rows):
         raise NotSquare("exponent matrix must be square")
     if len(weights) != n:
         raise NotSquare("weights length must match the matrix size")
+    for r in rows:
+        if any(x < 0 for x in r):
+            raise ValueError(f"negative exponent in {r}")
     degrees = [sum(a * w for a, w in zip(row, weights)) for row in rows]
     for i, d in enumerate(degrees[1:], start=1):
         if d != degrees[0]:
@@ -116,11 +122,18 @@ def classify_atomic(
 
     Returns None when no row reordering realizes the shape: each row must
     have exactly one entry larger than 1 (its diagonal), at most one
-    off-diagonal 1, and each column at most one off-diagonal 1.  Under the
-    stated degree hypothesis, and provided no basis monomial is a cross
-    term x_i * x_j, this succeeds exactly on the quasismooth square
-    systems.  Cross terms (possible when the degree equals a sum of two
-    weights) can be quasismooth without any atomic decomposition, e.g.
+    off-diagonal 1 (its successor), no two rows may share a diagonal
+    column, and no two rows a successor.  One pass over the rows records
+    both maps; the successor map is then injective, so its graph is a
+    disjoint union of paths and cycles.  One walk follows successors from
+    each path head in increasing order (a Fermat summand or a chain), then
+    from each column left over in increasing order, which meets every
+    cycle at its smallest column (a loop).
+
+    Under the stated degree hypothesis, and provided no basis monomial is
+    a cross term x_i * x_j, this succeeds exactly on the quasismooth
+    square systems.  Cross terms (possible when the degree equals a sum of
+    two weights) can be quasismooth without any atomic decomposition, e.g.
     x2*x3, x1^4*x3, x1^5*x2^2 with weights (1, 4, 9).
     """
     rows = [_int_vector(r) for r in rows]
@@ -129,71 +142,43 @@ def classify_atomic(
         raise DegreeTooSmall("system degree must exceed every variable degree")
     n = len(rows)
 
-    row_of_col: dict[int, int] = {}
+    row_of_col: list[int | None] = [None] * n
+    successor: list[int | None] = [None] * n
     for i, row in enumerate(rows):
         large = [j for j, x in enumerate(row) if x > 1]
-        if len(large) != 1:
+        ones = [j for j, x in enumerate(row) if x == 1]
+        if len(large) != 1 or len(ones) > 1 or row_of_col[large[0]] is not None:
             return None
-        j = large[0]
-        if j in row_of_col:
-            return None
-        row_of_col[j] = i
-    if len(row_of_col) != n:
+        row_of_col[large[0]] = i
+        if ones:
+            successor[large[0]] = ones[0]
+    targets = {j for j in successor if j is not None}
+    if len(targets) != n - successor.count(None):
         return None
-
-    out_edge: dict[int, int | None] = {}
-    for j in range(n):
-        row = rows[row_of_col[j]]
-        others = [j2 for j2 in range(n) if j2 != j and row[j2]]
-        if sum(row[j2] for j2 in others) > 1:
-            return None
-        out_edge[j] = others[0] if others else None
-    for j in range(n):
-        incoming = [j2 for j2 in range(n) if j2 != j and rows[row_of_col[j2]][j]]
-        if sum(rows[row_of_col[j2]][j] for j2 in incoming) > 1:
-            return None
-
-    in_edge: dict[int, int | None] = {j: None for j in range(n)}
-    for j, target in out_edge.items():
-        if target is not None:
-            in_edge[target] = j
 
     atoms = []
     visited: set[int] = set()
-    for start in range(n):
-        if start in visited or in_edge[start] is not None:
-            continue
-        path = [start]
-        visited.add(start)
-        while out_edge[path[-1]] is not None:
-            path.append(out_edge[path[-1]])
-            visited.add(path[-1])
-        exps = tuple(rows[row_of_col[v]][v] for v in path)
-        kind = AtomKind.FERMAT if len(path) == 1 else AtomKind.CHAIN
-        atoms.append(AtomicType(kind, tuple(path), exps))
-    for start in range(n):
+    for start in [*(j for j in range(n) if j not in targets), *range(n)]:
         if start in visited:
             continue
-        cycle = [start]
-        visited.add(start)
-        nxt = out_edge[start]
-        while nxt != start:
-            cycle.append(nxt)
-            visited.add(nxt)
-            nxt = out_edge[nxt]
-        pivot = cycle.index(min(cycle))
-        cycle = cycle[pivot:] + cycle[:pivot]
-        exps = tuple(rows[row_of_col[v]][v] for v in cycle)
-        atoms.append(AtomicType(AtomKind.LOOP, tuple(cycle), exps))
+        walk = [start]
+        nxt = successor[start]
+        while nxt is not None and nxt != start:
+            walk.append(nxt)
+            nxt = successor[nxt]
+        visited.update(walk)
+        if nxt == start:
+            kind = AtomKind.LOOP
+        else:
+            kind = AtomKind.FERMAT if len(walk) == 1 else AtomKind.CHAIN
+        exps = tuple(rows[row_of_col[v]][v] for v in walk)
+        atoms.append(AtomicType(kind, tuple(walk), exps))
 
     atoms.sort(key=lambda a: a.variables[0])
     decomposition = DelsarteDecomposition(
-        atoms=tuple(atoms),
-        row_permutation=tuple(row_of_col[j] for j in range(n)),
+        atoms=tuple(atoms), row_permutation=tuple(row_of_col)
     )
-    rebuilt = sorted(
-        row for atom in decomposition.atoms for row in atom.rows(n)
-    )
+    rebuilt = sorted(row for atom in decomposition.atoms for row in atom.rows(n))
     if rebuilt != sorted(rows):
         raise InvariantViolation("atom replay does not reproduce the input")
     return decomposition
@@ -224,9 +209,12 @@ def transpose_dual(
 ) -> TransposeDual:
     """Weights and degree making the transposed matrix homogeneous.
 
-    Solves ``A^T w' = d' (1,..,1)`` for the smallest d' giving positive
-    integer weights, then divides weights and degree by their common gcd
-    so the presentation is normalized.
+    Solves ``A^T x = (1, .., 1)`` and scales the solution by the lcm s of
+    its denominators, the smallest d' giving integer weights ``s x``.  No
+    common factor is left to divide out: if a prime power p^e exactly
+    divides s, it divides the denominator of some x_j, so p divides neither
+    the numerator of x_j nor s over that denominator, and p does not divide
+    the weight ``s x_j``.
     """
     rows = [_int_vector(r) for r in rows]
     d = _validate_square_homogeneous(rows, weights)
@@ -237,16 +225,9 @@ def transpose_dual(
     solution = solve_rational(transposed, [1] * n)
     if any(x <= 0 for x in solution):
         raise NoPositiveSolution("transposed system has no positive weights")
-    lcm = 1
-    for x in solution:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    raw = [int(x * lcm) for x in solution]
-    g = 0
-    for v in raw + [lcm]:
-        g = gcd(g, v)
-    new_weights = tuple(v // g for v in raw)
-    new_degree = lcm // g
-    return TransposeDual(new_weights, new_degree, tuple(transposed))
+    s = lcm(*(x.denominator for x in solution))
+    new_weights = tuple(x.numerator * (s // x.denominator) for x in solution)
+    return TransposeDual(new_weights, s, tuple(transposed))
 
 
 def _system_on_wps(rows, weights) -> _linsys.MonomialSystem:

@@ -61,7 +61,7 @@ def good_pair_check(
     p1_canonical = _poly.is_canonical(p1)
     p2_star = _poly.polar_dual(p2)
     integral = _poly.has_integral_vertices(p2_star)
-    p2star_canonical = bool(integral) and _poly.is_canonical(_poly.as_lattice(p2_star))
+    p2star_canonical = integral and _poly.is_canonical(p2_star)
     return GoodPair(
         p1=p1,
         p2=p2,

@@ -129,14 +129,6 @@ def gcd_vector(v: Sequence[int]) -> int:
     return g
 
 
-def primitive(v: Sequence[int]) -> Vector:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = gcd_vector(v)
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
-
-
 class Echelon:
     """Integer rows in fraction-free row echelon form, added one at a time.
 

@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
     read_input,
 )
-from .linalg import Echelon, _int_vector, dot, primitive, vector_sub
+from .linalg import Echelon, _int_vector, dot, vector_sub
 
 Coord = Union[int, Fraction]
 Point = tuple[Coord, ...]
@@ -290,7 +290,7 @@ def _hull_parts(pts: list[tuple[int, ...]]):
     dim = span.rank
     equations = [Equation(nv, dot(nv, base)) for nv in span.kernel()]
     if dim == 0:
-        return dim, equations, [n > 0], lambda: []
+        return dim, equations, [True], lambda: []
 
     core = _drop_midpoints(pts)
     proj = [tuple(p[j] for j in span.pivots) for p in core]
@@ -302,25 +302,27 @@ def _hull_parts(pts: list[tuple[int, ...]]):
             meet[i] &= m
     vertices = {p for i, p in enumerate(core) if meet[i] == 1 << i}
     flags = [p in vertices for p in pts]
-    return dim, equations, flags, lambda: _list_facets(proj, planes, span)
+    return dim, equations, flags, lambda: _list_facets(planes, span)
 
 
-def _list_facets(proj, planes, span: Echelon) -> list[Facet]:
+def _list_facets(planes, span: Echelon) -> list[Facet]:
     """Facet inequalities of the hull from the normals the hull found.
 
     ``planes`` maps each facet's primitive inner normal and offset, in the
-    coordinates ``span.pivots`` of the projected points ``proj``, to its
+    coordinates ``span.pivots`` of the projected core points, to its
     incidence mask.  Each facet's ambient normal is its key's normal at
     the pivot coordinates and zero elsewhere, with the key's offset.  It
     is primitive, and its product with any point equals the key normal's
     product with the point's projection, so it cuts the facet out of the
     hull with the hull on its nonnegative side.  The facets are listed in
-    the order of the lexicographically first affinely independent
-    ``dim``-subset of their support.
+    the lexicographic order of the index lists of their masks, which is
+    the order of their lexicographically first affinely independent
+    ``dim``-subsets: two masks agree up to the first index where those
+    subsets differ.
     """
     n = span.width
     pivots = span.pivots
-    order = sorted((_affine_basis(proj, m, span.rank)[0], key) for key, m in planes.items())
+    order = sorted((list(_bits(m)), key) for key, m in planes.items())
     facets: list[Facet] = []
     for _, (normal, offset) in order:
         ambient = [0] * n
@@ -336,11 +338,11 @@ def hull(points: Sequence[Sequence[Coord]]) -> LatticePolytope:
     The returned vertex list is minimal: no vertex lies in the hull of the
     others, and vertices keep the order of the input.  The vertices,
     dimension and equations are computed at once; the facets are listed
-    the first time ``facets`` is read.  Facets are listed by the
-    lexicographically first affinely independent subset of their support
-    among the input points that are not midpoints of two others, so the
-    facet order, and with it the ray order of ``normal_fan``, is a
-    function of the input.  Works in any ambient dimension;
+    the first time ``facets`` is read.  Facets are listed in the
+    lexicographic order of the indices of the points on them, among the
+    input points that are not midpoints of two others, so the facet
+    order, and with it the ray order of ``normal_fan``, is a function of
+    the input.  Works in any ambient dimension;
     lower-dimensional hulls carry their affine-hull equations.  A
     coordinate that is not an integer (a proper fraction, a float with a
     fractional part, a string) raises ``ValueError``.
@@ -519,7 +521,7 @@ def normal_fan(p: LatticePolytope):
 
     if not p.is_full_dim:
         raise NotFullDim("normal fan needs a full-dimensional polytope")
-    rays = [primitive(f.normal) for f in p.facets]
+    rays = [f.normal for f in p.facets]
     cones = []
     for v in p.vertices:
         tight = frozenset(

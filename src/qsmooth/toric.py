@@ -125,10 +125,9 @@ def class_group(fan: Fan) -> Grading:
     Free rank is num_rays - lattice_rank; finite invariant factors >= 2
     appear as torsion rows.
     """
-    ray_matrix = IntMatrix.from_rows(fan.rays)  # r x n
-    if rank_rational(ray_matrix) != fan.lattice_rank:
+    snf = smith_normal_form(IntMatrix.from_rows(fan.rays))  # r x n
+    if snf.rank != fan.lattice_rank:
         raise DegenerateFan("rays do not span the ambient lattice")
-    snf = smith_normal_form(ray_matrix)
     n = fan.lattice_rank
     free_rows = snf.U.entries[n:]
     torsion = []
@@ -145,7 +144,7 @@ def _cone_walls(fan: Fan, cone: tuple[int, ...]) -> list[frozenset]:
     hull = _poly.hull(pts)
     walls = []
     for f in hull.facets:
-        if f.offset != 0 or dot(f.normal, origin) != f.offset:
+        if f.offset != 0:
             continue
         walls.append(frozenset(i for i in cone if dot(f.normal, fan.rays[i]) == 0))
     return walls

@@ -10,7 +10,8 @@ versions of routines that a speed-up replaced (the per-point box scan,
 the per-facet kernel facet listing, the unbounded irrelevant-component
 search) live here too, for the differential tests against their
 replacements, as do the former per-stratum row scans of the closed-form
-checkers and the literal definition of a base stratum.
+checkers, the literal definition of a base stratum, and the former
+four-pass Delsarte classification and gcd-normalised transpose.
 """
 
 from __future__ import annotations
@@ -19,12 +20,18 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd
 
+from qsmooth.delsarte import AtomicType, AtomKind, DelsarteDecomposition, TransposeDual
 from qsmooth.errors import (
+    DegreeTooSmall,
     DimensionMismatch,
     EmptyInput,
     GeneratorInBasis,
+    InvariantViolation,
+    NoPositiveSolution,
     NotBaseStratum,
     NotFakeWPS,
+    NotHomogeneous,
+    NotSquare,
     SingularMatrix,
 )
 from qsmooth.errors import QsmoothError
@@ -36,6 +43,7 @@ from qsmooth.linalg import (
     dot,
     gcd_vector,
     smith_normal_form,
+    solve_rational,
     vector_sub,
 )
 from qsmooth.linsys import BaseStratum, base_locus_strata, base_stratum
@@ -703,6 +711,129 @@ def wps_check_subsets(sys) -> QSVerdict:
                     ),
                 )
     return QSVerdict(True, Method.WPS)
+
+
+def _square_degree(rows, weights) -> int:
+    """Common degree of a square system, as the former Delsarte layer checked it."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NotSquare("exponent matrix must be square")
+    if len(weights) != n:
+        raise NotSquare("weights length must match the matrix size")
+    degrees = [sum(a * w for a, w in zip(row, weights)) for row in rows]
+    for i, d in enumerate(degrees[1:], start=1):
+        if d != degrees[0]:
+            raise NotHomogeneous(0, i, (d - degrees[0],))
+    return degrees[0]
+
+
+def classify_atomic_four_pass(rows, weights):
+    """Fermat/chain/loop decomposition of a square system, or None.
+
+    This is the package's former ``delsarte.classify_atomic``: one pass for
+    the large entries, one for the out-edges, a per-column scan of the
+    incoming entries and an in-edge map, then a walk over the paths and a
+    second walk over the cycles, each rotated to start at its smallest
+    column.
+    """
+    rows = [_int_vector(r) for r in rows]
+    d = _square_degree(rows, weights)
+    if any(d <= w for w in weights):
+        raise DegreeTooSmall("system degree must exceed every variable degree")
+    n = len(rows)
+
+    row_of_col = {}
+    for i, row in enumerate(rows):
+        large = [j for j, x in enumerate(row) if x > 1]
+        if len(large) != 1:
+            return None
+        j = large[0]
+        if j in row_of_col:
+            return None
+        row_of_col[j] = i
+    if len(row_of_col) != n:
+        return None
+
+    out_edge = {}
+    for j in range(n):
+        row = rows[row_of_col[j]]
+        others = [j2 for j2 in range(n) if j2 != j and row[j2]]
+        if sum(row[j2] for j2 in others) > 1:
+            return None
+        out_edge[j] = others[0] if others else None
+    for j in range(n):
+        incoming = [j2 for j2 in range(n) if j2 != j and rows[row_of_col[j2]][j]]
+        if sum(rows[row_of_col[j2]][j] for j2 in incoming) > 1:
+            return None
+
+    in_edge = {j: None for j in range(n)}
+    for j, target in out_edge.items():
+        if target is not None:
+            in_edge[target] = j
+
+    atoms = []
+    visited = set()
+    for start in range(n):
+        if start in visited or in_edge[start] is not None:
+            continue
+        path = [start]
+        visited.add(start)
+        while out_edge[path[-1]] is not None:
+            path.append(out_edge[path[-1]])
+            visited.add(path[-1])
+        exps = tuple(rows[row_of_col[v]][v] for v in path)
+        kind = AtomKind.FERMAT if len(path) == 1 else AtomKind.CHAIN
+        atoms.append(AtomicType(kind, tuple(path), exps))
+    for start in range(n):
+        if start in visited:
+            continue
+        cycle = [start]
+        visited.add(start)
+        nxt = out_edge[start]
+        while nxt != start:
+            cycle.append(nxt)
+            visited.add(nxt)
+            nxt = out_edge[nxt]
+        pivot = cycle.index(min(cycle))
+        cycle = cycle[pivot:] + cycle[:pivot]
+        exps = tuple(rows[row_of_col[v]][v] for v in cycle)
+        atoms.append(AtomicType(AtomKind.LOOP, tuple(cycle), exps))
+
+    atoms.sort(key=lambda a: a.variables[0])
+    decomposition = DelsarteDecomposition(
+        atoms=tuple(atoms),
+        row_permutation=tuple(row_of_col[j] for j in range(n)),
+    )
+    rebuilt = sorted(row for atom in decomposition.atoms for row in atom.rows(n))
+    if rebuilt != sorted(rows):
+        raise InvariantViolation("atom replay does not reproduce the input")
+    return decomposition
+
+
+def transpose_dual_gcd(rows, weights, degree):
+    """Dual weights and degree of the transposed matrix.
+
+    This is the package's former ``delsarte.transpose_dual``: it scales the
+    solution of ``A^T w' = (1, .., 1)`` by the lcm of its denominators, then
+    divides weights and degree by their common gcd.
+    """
+    rows = [_int_vector(r) for r in rows]
+    d = _square_degree(rows, weights)
+    if d != degree:
+        raise NotHomogeneous(0, 0, (d - degree,))
+    n = len(rows)
+    transposed = [tuple(r[i] for r in rows) for i in range(n)]
+    solution = solve_rational(transposed, [1] * n)
+    if any(x <= 0 for x in solution):
+        raise NoPositiveSolution("transposed system has no positive weights")
+    lcm = 1
+    for x in solution:
+        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    raw = [int(x * lcm) for x in solution]
+    g = 0
+    for v in raw + [lcm]:
+        g = gcd(g, v)
+    return TransposeDual(tuple(v // g for v in raw), lcm // g, tuple(transposed))
 
 
 def _one_variable_failure(vertex_exps, i):

@@ -9,10 +9,11 @@ from generators import (
     random_wps_system,
     wps_weights_for,
 )
-from oracle import wps_check_subsets
+from oracle import classify_atomic_four_pass, transpose_dual_gcd, wps_check_subsets
 from qsmooth.delsarte import (
     AtomicType,
     AtomKind,
+    DelsarteDecomposition,
     classify_atomic,
     format_decomposition,
     quasismooth_transpose_invariance,
@@ -21,6 +22,7 @@ from qsmooth.delsarte import (
 )
 from qsmooth.errors import (
     DegreeTooSmall,
+    EmptyInput,
     GeneratorInBasis,
     InvariantViolation,
     NoPositiveSolution,
@@ -226,6 +228,16 @@ class TestClassifyAtomic:
         with pytest.raises(ValueError):
             classify_atomic([(bad, 0), (0, 2)], (1, 1))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(EmptyInput):
+            classify_atomic([], ())
+
+    def test_negative_exponent_rejected(self):
+        # used to fail the atom replay with InvariantViolation, which
+        # signals a bug rather than bad input
+        with pytest.raises(ValueError, match=r"negative exponent in \(4, -1\)"):
+            classify_atomic([(4, -1), (0, 3)], (1, 1))
+
     def test_failed_atom_replay_raises(self, monkeypatch):
         monkeypatch.setattr(AtomicType, "rows", lambda self, num_vars: [(0,) * num_vars])
         with pytest.raises(InvariantViolation):
@@ -280,10 +292,73 @@ class TestTransposeDual:
         with pytest.raises(ValueError):
             transpose_dual([(2.5, 0), (0, 2)], (1, 1), 2)
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(EmptyInput):
+            transpose_dual([], (), 0)
+
+    def test_negative_exponent_rejected(self):
+        # used to return the "dual" row (-1, 3)
+        with pytest.raises(ValueError, match=r"negative exponent in \(4, -1\)"):
+            transpose_dual([(4, -1), (0, 3)], (1, 1), 3)
+
     def test_no_positive_solution(self):
         # valid weights on one side, sign change after transposition
         with pytest.raises(NoPositiveSolution):
             transpose_dual([(2, 3), (0, 4)], (1, 2), 8)
+
+
+def _outcome(func, *args):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return func(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestDelsarteDifferential:
+    """``classify_atomic`` and ``transpose_dual`` equal the former four-pass
+    classification and gcd-normalised transpose, errors included."""
+
+    def _same(self, rows, weights):
+        degree = sum(a * w for a, w in zip(rows[0], weights))
+        dec = _outcome(classify_atomic, rows, weights)
+        assert dec == _outcome(classify_atomic_four_pass, rows, weights)
+        dual = _outcome(transpose_dual, rows, weights, degree)
+        assert dual == _outcome(transpose_dual_gcd, rows, weights, degree)
+        return dec
+
+    def test_enumerated_atomic_sums(self):
+        rng = random.Random(71_401)
+        sums = list(enumerate_atomic_sums(4, 4))
+        for n, atoms in sums:
+            rows = [r for a in atoms for r in a.rows(n)]
+            rng.shuffle(rows)
+            dec = self._same(rows, wps_weights_for(rows)[0])
+            assert sorted(dec.atoms, key=lambda a: a.variables) == sorted(
+                atoms, key=lambda a: a.variables
+            )
+        assert len(sums) == 1596
+
+    def test_perturbed_sums_and_random_squares(self):
+        rng = random.Random(71_402)
+        outcomes = []
+        while len(outcomes) < 5000:
+            n = rng.randint(1, 6)
+            if len(outcomes) % 2:
+                rows = [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)]
+            else:
+                _, rows = random_atomic_sum(rng, n, max_exp=4)
+                rows = [list(r) for r in rows]
+                for _ in range(rng.randint(1, 2)):
+                    rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(0, 4)
+            pair = wps_weights_for(rows)
+            if pair is None:
+                continue
+            dec = self._same(rows, pair[0])
+            outcomes.append(dec[0] if isinstance(dec, tuple) else type(dec))
+        assert outcomes.count(DelsarteDecomposition) > 1000
+        assert outcomes.count(type(None)) > 1000
+        assert outcomes.count(DegreeTooSmall) > 100
 
 
 class TestTransposeInvariance:

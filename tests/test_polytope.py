@@ -240,6 +240,14 @@ class TestFacetListingDifferential:
                 rng.shuffle(pts)
                 self._check(pts)
 
+    def test_grid_subsets(self):
+        # subsets of the {0, 1, 2}^n grid put many points on each facet
+        rng = random.Random(7_103)
+        for width in range(1, 5):
+            grid = list(itertools.product(range(3), repeat=width))
+            for _ in range(40):
+                self._check(rng.sample(grid, rng.randint(2, len(grid))))
+
     def test_permuted_pivots(self):
         # the span's pivots come out of order when the first differences
         # vanish on the first coordinate
@@ -515,6 +523,7 @@ class TestFibreScanDifferential:
         for strict in (False, True):
             assert list(_box_scan(p, strict)) == box_scan_points(p, strict) == [()]
         assert lattice_points(p) == [()]
+        assert p.vertices == ((),)
 
     def test_is_canonical_stops_at_the_same_answer(self):
         polytopes = [p for p in self._polytopes() if p.is_full_dim]
