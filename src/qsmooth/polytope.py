@@ -4,12 +4,16 @@ Polytopes are stored with explicit vertex lists, facet inequalities
 ``<normal, x> >= offset`` and, when the hull is not full-dimensional,
 affine-hull equations.  Vertices and facet incidences are found by an
 incremental beneath-beyond hull in integer arithmetic on a
-full-dimensional projection of the points.  The facet inequalities are
-listed the first time a polytope's ``facets`` is read, in a fixed order,
-from the normals the hull found, so the facet list depends only on the
-input points and their order; a caller that needs only the vertices (as
-``linsys.monomial_system`` does) never pays for it.  Lattice points are
-found fibre by fibre along the last coordinate.
+full-dimensional projection of the points.  Only the starting simplex
+is found by elimination.  After it, each new facet's normal is an
+integer combination of the normals of the two old facets that meet in
+its ridge (the pencil of their hyperplanes), and whether two facets meet
+in a ridge is read off the bitmasks of the points on them.  The facet
+inequalities are listed the first time a polytope's ``facets`` is read,
+in a fixed order, from the normals the hull found, so the facet list
+depends only on the input points and their order; a caller that needs
+only the vertices (as ``linsys.monomial_system`` does) never pays for
+it.  Lattice points are found fibre by fibre along the last coordinate.
 
 Lower-dimensional polytopes are kept in their ambient coordinates rather
 than being projected; the affine hull is recorded as equations.
@@ -24,8 +28,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, prod
-from operator import mul, sub
+from math import ceil, floor, gcd, lcm, prod
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -146,31 +150,20 @@ def _dedupe(points: Sequence[Sequence[Coord]]) -> list[Point]:
 
 def _scale_to_int(points: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
     """Clear denominators; returns integer points and the common scale."""
-    lcm = 1
-    for p in points:
-        for x in p:
-            if isinstance(x, Fraction):
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    scaled = [tuple(int(x * lcm) for x in p) for p in points]
-    return scaled, lcm
+    scale = lcm(*(x.denominator for p in points for x in p if isinstance(x, Fraction)))
+    scaled = [tuple(int(x * scale) for x in p) for p in points]
+    return scaled, scale
 
 
 def _drop_midpoints(pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Discard points that are exact averages of two others (never vertices).
 
-    The points must be distinct: then ``2p - a`` equals ``a`` or ``p``
-    only when ``a == p``, the one pair skipped.
+    ``p`` is the average of two points exactly when ``2p`` is the sum of
+    two different points.  The points must be distinct: then neither of
+    those two is ``p``, since ``2p - p`` is ``p`` itself.
     """
-    index = set(pts)
-    core = []
-    for p in pts:
-        doubled = [2 * x for x in p]
-        for a in pts:
-            if a != p and tuple(map(sub, doubled, a)) in index:
-                break
-        else:
-            core.append(p)
-    return core
+    sums = {tuple(map(add, a, b)) for a, b in itertools.combinations(pts, 2)}
+    return [p for p in pts if tuple(map(add, p, p)) not in sums]
 
 
 def _bits(mask: int):
@@ -181,26 +174,62 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _affine_basis(
-    pts: Sequence[tuple[int, ...]], mask: int, size: int
-) -> tuple[list[int], Echelon]:
-    """Greedy affinely independent subset of the points in ``mask``.
+def _affine_basis(pts: Sequence[tuple[int, ...]], size: int) -> list[int]:
+    """Indices of the first ``size`` affinely independent points of ``pts``.
 
-    Scans the indices in increasing order and keeps each point that is
-    affinely independent of those kept, stopping at ``size`` points.
-    Affine independence is a matroid, so when ``size`` is the affine rank
-    plus one this is the lexicographically first basis of the set.  Also
-    returns the echelon of the differences of the kept points from the
-    first one, whose kernel holds the normals of their affine hull.
+    Scans the points in order and keeps each one that is affinely
+    independent of those kept, stopping at ``size`` points.
     """
     chosen: list[int] = []
     echelon = Echelon(len(pts[0]))
-    for i in _bits(mask):
+    for i, p in enumerate(pts):
         if len(chosen) == size:
             break
-        if not chosen or echelon.add(vector_sub(pts[i], pts[chosen[0]])):
+        if not chosen or echelon.add(vector_sub(p, pts[chosen[0]])):
             chosen.append(i)
-    return chosen, echelon
+    return chosen
+
+
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _simplex_facets(
+    pts: list[tuple[int, ...]], simplex: list[int]
+) -> dict[tuple[tuple[int, ...], int], int]:
+    """Facets of the full-dimensional simplex on ``pts[simplex]`` and their masks.
+
+    Let ``M`` be the matrix of rows ``v_k - v_0``, over the vertices
+    ``v_1, ..., v_dim`` after ``v_0``.  The inner normal of the facet
+    opposite ``v_k`` is column k of ``M^-1``, and that of the facet
+    opposite ``v_0`` is minus the sum of the columns.  One echelon of the
+    rows ``[v_k - v_0 | e_k]`` has its pivots in the first ``dim``
+    columns, so its kernel vector at column ``dim + k`` is
+    ``(-t_k * column k of M^-1, t_k * e_k)`` for some ``t_k > 0``.  The
+    facets are listed opposite ``v_0`` first, then opposite each ``v_k``
+    in turn.
+    """
+    dim = len(simplex) - 1
+    v0, *others = (pts[i] for i in simplex)
+    echelon = Echelon(2 * dim)
+    for k, v in enumerate(others):
+        unit = [0] * dim
+        unit[k] = 1
+        echelon.add(vector_sub(v, v0) + tuple(unit))
+    kernel = echelon.kernel()
+    scale = lcm(*(y[dim + k] for k, y in enumerate(kernel)))
+    far = [0] * dim  # scale times minus the sum of the columns of M^-1
+    for k, y in enumerate(kernel):
+        f = scale // y[dim + k]
+        far = [s + f * x for s, x in zip(far, y)]
+    full = sum(1 << i for i in simplex)
+    normal = _primitive(far)
+    facets = {(normal, sum(map(mul, normal, others[0]))): full ^ 1 << simplex[0]}
+    for y, i in zip(kernel, simplex[1:]):
+        normal = _primitive([-x for x in y[:dim]])
+        facets[normal, sum(map(mul, normal, v0))] = full ^ 1 << i
+    return facets
 
 
 def _facet_masks(
@@ -208,63 +237,75 @@ def _facet_masks(
 ) -> dict[tuple[tuple[int, ...], int], int]:
     """Facets of the hull of full-dimensional ``pts`` and their incidence bitmasks.
 
-    Beneath-beyond (Edelsbrunner 1987): start from the first ``dim + 1``
-    affinely independent points and add the others one at a time.  Each
-    facet is kept as its primitive inner normal and offset, mapped to the
-    mask of the points added so far that lie on its hyperplane.  A point
-    joins every facet whose hyperplane it lies on; the facets it sees
-    (strictly beyond) are replaced by one facet through the point for each
-    horizon ridge, i.e. each ridge shared with a facet the point is
-    strictly beneath.  New facets on the same hyperplane merge.  A new
-    facet's normal is read off the echelon that ``_affine_basis`` built to
-    test the ridge's rank, after one more row for the new point, so no
-    kernel is computed from scratch.  Returns the map from each facet's
-    primitive inner normal and offset to its mask.
+    Beneath-beyond (Edelsbrunner 1987): start from the simplex on the
+    first ``dim + 1`` affinely independent points and add the other
+    points one at a time.  Each facet is kept as its primitive inner
+    normal and offset, mapped to the mask of the points added so far that
+    lie on its hyperplane.  A point ``x`` joins every facet whose
+    hyperplane it lies on.  The facets it sees (strictly beyond) are
+    replaced by one facet through ``x`` for each horizon ridge, a ridge
+    that a seen facet shares with a facet ``x`` is strictly beneath; new
+    facets on the same hyperplane merge.
+
+    After the simplex nothing is eliminated.  Two facets meet in a face,
+    and the points on it are the common bits of their masks.  A ridge
+    holds at least ``dim - 1`` points.  Up to dimension 3 every face with
+    that many points is a ridge; from dimension 4 a smaller face can hold
+    as many, but it lies in at least three facets, and a ridge in exactly
+    two.  So a seen facet and a beneath facet meet in a ridge when their
+    common mask has ``dim - 1`` bits and, from dimension 4, no third
+    facet's mask contains it.  The new facet through that ridge and ``x``
+    lies in the pencil of the two (the rotation step of gift wrapping,
+    Chand and Kapur 1970).  With ``(a, b)`` the seen facet,
+    ``s_v = <a, x> - b < 0``, and ``(c, d)`` the beneath one,
+    ``s_h = <c, x> - d > 0``, the inequality
+    ``<s_h a - s_v c, y> >= s_h b - s_v d`` is a positive combination of
+    the two, so it holds on the old hull, and it is tight on the ridge and
+    at ``x``.  Its normal divided by its gcd is the new facet's primitive
+    inner normal, and the offset is that normal's product with ``x``.
+    Returns the map from each facet's primitive inner normal and offset
+    to its mask.
     """
-    simplex, _ = _affine_basis(pts, (1 << len(pts)) - 1, dim + 1)
-    # (dim + 1) times the simplex centroid, strictly inside every later hull
-    inner = tuple(sum(col) for col in zip(*(pts[i] for i in simplex)))
-
-    def plane(echelon: Echelon, p: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """Inner normal and offset of the hyperplane through ``p`` along ``echelon``."""
-        (normal,) = echelon.kernel()
-        offset = dot(normal, p)
-        if dot(normal, inner) < (dim + 1) * offset:
-            return tuple(-x for x in normal), -offset
-        return normal, offset
-
-    facets: dict[tuple[tuple[int, ...], int], int] = {}
-    simplex_mask = sum(1 << i for i in simplex)
-    for skip in simplex:
-        mask = simplex_mask ^ 1 << skip
-        ids, echelon = _affine_basis(pts, mask, dim)
-        facets[plane(echelon, pts[ids[0]])] = mask
+    need = dim - 1
+    third = dim > 3
+    simplex = _affine_basis(pts, dim + 1)
+    facets = _simplex_facets(pts, simplex)
     for q, x in enumerate(pts):
-        bit = 1 << q
-        if simplex_mask & bit:
+        if q in simplex:
             continue
-        visible = []
+        bit = 1 << q
+        old = []  # (normal, side, mask) of every facet
         kept = {}
         for key, mask in facets.items():
-            side = dot(key[0], x) - key[1]
-            if side < 0:
-                visible.append(mask)
-            else:
-                kept[key] = mask | bit if side == 0 else mask
-        if visible:
-            horizon = [m for m in kept.values() if not m & bit]
+            normal, offset = key
+            side = sum(map(mul, normal, x)) - offset
+            old.append((normal, side, mask))
+            if side > 0:
+                kept[key] = mask
+            elif not side:
+                kept[key] = mask | bit
+        if len(kept) < len(facets):  # x sees a facet
             new: dict[tuple[tuple[int, ...], int], int] = {}
-            for vis in visible:
-                for other in horizon:
-                    ridge = vis & other
-                    if ridge.bit_count() < dim - 1:
+            for a, s_v, vis in old:
+                if s_v >= 0:
+                    continue
+                # the faces vis shares with each facet, vis included, that hold
+                # a ridge's worth of points; a facet containing a ridge of vis
+                # adds a face that contains the ridge
+                near = []
+                for c, s_h, other in old:
+                    face = vis & other
+                    if face.bit_count() >= need:
+                        near.append((face, c, s_h))
+                faces = [face for face, _, _ in near]
+                for ridge, c, s_h in near:
+                    if s_h <= 0:
                         continue
-                    ids, echelon = _affine_basis(pts, ridge, dim - 1)
-                    if len(ids) == dim - 1:
-                        if ids:  # a ridge of a one-dimensional hull is empty
-                            echelon.add(vector_sub(x, pts[ids[0]]))
-                        key = plane(echelon, x)
-                        new[key] = new.get(key, 0) | ridge | bit
+                    if third and list(map(ridge.__and__, faces)).count(ridge) > 2:
+                        continue
+                    normal = _primitive([s_h * y - s_v * z for y, z in zip(a, c)])
+                    key = (normal, sum(map(mul, normal, x)))
+                    new[key] = new.get(key, 0) | ridge | bit
             kept.update(new)
         facets = kept
     return facets

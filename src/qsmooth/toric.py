@@ -177,26 +177,36 @@ def is_fake_wps(fan: Fan) -> bool:
     )
 
 
+def _mask(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in indices)
+
+
 def irrelevant_components(fan: Fan) -> list[tuple[int, ...]]:
     """Minimal variable subsets not contained in any cone's ray set.
 
     Every proper subset of a minimal one lies in some cone, so none has
     more than ``max |cone| + 1`` elements and the search stops there.
+    Subsets are tested as bitmasks over the rays.
     """
-    cone_sets = [set(c) for c in fan.max_cones]
-    found: list[set] = []
+    n = fan.num_rays
+    bits = [1 << i for i in range(n)]
+    cones = [_mask(c) for c in fan.max_cones]
+    found: list[int] = []
     out = []
-    indices = range(fan.num_rays)
-    largest = max(map(len, cone_sets), default=0)
-    for size in range(1, min(fan.num_rays, largest + 1) + 1):
-        for cand in itertools.combinations(indices, size):
-            cs = set(cand)
-            if any(prev <= cs for prev in found):
-                continue
-            if any(cs <= cone for cone in cone_sets):
-                continue
-            found.append(cs)
-            out.append(cand)
+    largest = max(map(len, fan.max_cones), default=0)
+    for size in range(1, min(n, largest + 1) + 1):
+        masks = map(sum, itertools.combinations(bits, size))
+        for cand, m in zip(itertools.combinations(range(n), size), masks):
+            for cone in cones:
+                if m & cone == m:
+                    break
+            else:
+                for prev in found:
+                    if m & prev == prev:
+                        break
+                else:
+                    found.append(m)
+                    out.append(cand)
     return out
 
 
@@ -218,8 +228,8 @@ class ToricAmbient:
         for c in comps:
             if c and (c[0] < 0 or c[-1] >= self.num_vars):
                 raise ValueError("irrelevant component index out of range")
-        for a, b in itertools.permutations(comps, 2):
-            if set(a) <= set(b):
+        for a, b in itertools.permutations(map(_mask, comps), 2):
+            if a & b == a:
                 raise ValueError("irrelevant components must be irredundant")
         if self.grading.num_vars != self.num_vars:
             raise DimensionMismatch("grading width does not match variable count")

@@ -6,12 +6,13 @@ code shared with the package's facet machinery.  The package's former
 elimination routines (full-pivot Bareiss rank, fraction-free Gauss-Jordan
 kernel and solve) live here too, so that ``linalg.Echelon`` and the hull
 built on it are checked against code they do not share.  The former
-versions of routines that a speed-up replaced (the per-point box scan,
-the per-facet kernel facet listing, the unbounded irrelevant-component
-search) live here too, for the differential tests against their
-replacements, as do the former per-stratum row scans of the closed-form
-checkers, the literal definition of a base stratum, and the former
-four-pass Delsarte classification and gcd-normalised transpose.
+versions of routines that a speed-up replaced (the per-ridge elimination
+hull, the per-point box scan, the per-facet kernel facet listing, the
+unbounded irrelevant-component search) live here too, for the
+differential tests against their replacements, as do the former
+per-stratum row scans of the closed-form checkers, the literal
+definition of a base stratum, and the former four-pass Delsarte
+classification and gcd-normalised transpose.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ from qsmooth.linsys import BaseStratum, base_locus_strata, base_stratum
 from qsmooth.polytope import (
     Equation,
     Facet,
-    _affine_basis,
-    _drop_midpoints,
-    _facet_masks,
     hull,
     lattice_points,
 )
@@ -1007,15 +1005,100 @@ def int_hull_data_exhaustive(pts):
     return dim, facets, equations, vertex_flags
 
 
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _affine_basis(pts, mask, size):
+    """Greedy affinely independent subset of the points in ``mask``.
+
+    Scans the indices in increasing order and keeps each point that is
+    affinely independent of those kept, stopping at ``size`` points, so
+    when ``size`` is the affine rank plus one this is the lexicographically
+    first basis of the set.  Also returns the echelon of the differences
+    of the kept points from the first one.
+    """
+    chosen = []
+    echelon = Echelon(len(pts[0]))
+    for i in _bits(mask):
+        if len(chosen) == size:
+            break
+        if not chosen or echelon.add(vector_sub(pts[i], pts[chosen[0]])):
+            chosen.append(i)
+    return chosen, echelon
+
+
+def facet_masks_elimination(pts, dim):
+    """Facets of the hull of full-dimensional ``pts`` and their incidence masks.
+
+    This is the package's former ``polytope._facet_masks``: the same
+    beneath-beyond insertion, but every simplex facet and every candidate
+    ridge is tested and its new facet's normal found by elimination.  A
+    visible and a beneath facet share a ridge when their common points
+    have affine rank ``dim - 2``; the new facet's normal is the kernel of
+    the ridge's basis differences and ``x`` minus its first point,
+    oriented by the simplex centroid.
+    """
+    simplex, _ = _affine_basis(pts, (1 << len(pts)) - 1, dim + 1)
+    inner = tuple(sum(col) for col in zip(*(pts[i] for i in simplex)))
+
+    def plane(echelon, p):
+        (normal,) = echelon.kernel()
+        offset = dot(normal, p)
+        if dot(normal, inner) < (dim + 1) * offset:
+            return tuple(-x for x in normal), -offset
+        return normal, offset
+
+    facets = {}
+    simplex_mask = sum(1 << i for i in simplex)
+    for skip in simplex:
+        mask = simplex_mask ^ 1 << skip
+        ids, echelon = _affine_basis(pts, mask, dim)
+        facets[plane(echelon, pts[ids[0]])] = mask
+    for q, x in enumerate(pts):
+        bit = 1 << q
+        if simplex_mask & bit:
+            continue
+        visible = []
+        kept = {}
+        for key, mask in facets.items():
+            side = dot(key[0], x) - key[1]
+            if side < 0:
+                visible.append(mask)
+            else:
+                kept[key] = mask | bit if side == 0 else mask
+        if visible:
+            horizon = [m for m in kept.values() if not m & bit]
+            new = {}
+            for vis in visible:
+                for other in horizon:
+                    ridge = vis & other
+                    if ridge.bit_count() < dim - 1:
+                        continue
+                    ids, echelon = _affine_basis(pts, ridge, dim - 1)
+                    if len(ids) == dim - 1:
+                        if ids:  # a ridge of a one-dimensional hull is empty
+                            echelon.add(vector_sub(x, pts[ids[0]]))
+                        key = plane(echelon, x)
+                        new[key] = new.get(key, 0) | ridge | bit
+            kept.update(new)
+        facets = kept
+    return facets
+
+
 def list_facets_kernel(pts):
     """Facets of the hull of distinct integer points, one kernel per facet.
 
     This is the package's former ``polytope._list_facets``: the hull's
-    incidence masks come from ``polytope._facet_masks`` on the core points
-    projected to the span's pivot coordinates, as in ``_hull_parts``, but
-    each normal is recomputed in ambient coordinates as the first kernel
-    vector of the facet's first affinely independent subset that does not
-    vanish on the affine hull, its sign fixed by a point off the facet.
+    incidence masks come from ``facet_masks_elimination`` on the core
+    points projected to the span's pivot coordinates, as in
+    ``_hull_parts``, but each normal is recomputed in ambient coordinates
+    as the first kernel vector of the facet's first affinely independent
+    subset that does not vanish on the affine hull, its sign fixed by a
+    point off the facet.
     """
     n = len(pts[0])
     span = Echelon(n)
@@ -1024,9 +1107,9 @@ def list_facets_kernel(pts):
     dim = span.rank
     if dim == 0:
         return []
-    core = _drop_midpoints(pts)
+    core = drop_midpoints_pairs(pts)
     proj = [tuple(p[j] for j in span.pivots) for p in core]
-    masks = _facet_masks(proj, dim).values()
+    masks = facet_masks_elimination(proj, dim).values()
     facets = []
     for basis, mask in sorted((_affine_basis(proj, m, dim)[0], m) for m in masks):
         s0 = core[basis[0]]

@@ -159,6 +159,26 @@ class TestIrrelevantComponents:
         assert gradings_equivalent(quotient.grading, blowup_fan_ambient.grading)
 
 
+    def test_irredundancy_check_matches_subset_test(self):
+        # the literal pairwise subset test on sets, against the bitmask check
+        rng = random.Random(9_102)
+        grading = Grading(IntMatrix.from_rows([(1,) * 6]))
+        for _ in range(300):
+            comps = [
+                tuple(rng.sample(range(6), rng.randint(0, 4))) for _ in range(rng.randint(1, 4))
+            ]
+            sets = [set(c) for c in comps]
+            redundant = any(
+                a <= b for i, a in enumerate(sets) for j, b in enumerate(sets) if i != j
+            )
+            if redundant:
+                with pytest.raises(ValueError, match="irredundant"):
+                    ToricAmbient.from_quotient(grading, comps)
+            else:
+                amb = ToricAmbient.from_quotient(grading, comps)
+                assert amb.irrelevant == tuple(tuple(sorted(c)) for c in comps)
+
+
 class TestRelevantSubsets:
     def test_projective_plane(self):
         amb = ToricAmbient.from_fan(projective_fan(2))
